@@ -111,7 +111,12 @@ func main() {
 	}
 	g.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: g.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           g.Handler(),
+		ReadHeaderTimeout: service.ReadHeaderTimeout,
+		IdleTimeout:       service.IdleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Printf("listening on %s, sharding %d backends: %s", *addr, len(addrs), strings.Join(addrs, ", "))

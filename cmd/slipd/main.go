@@ -151,7 +151,12 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: service.ReadHeaderTimeout,
+		IdleTimeout:       service.IdleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Printf("listening on %s (%d workers, queue %d, store %d)", *addr, *workers, *queue, *storeCap)

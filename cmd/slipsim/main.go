@@ -7,7 +7,7 @@
 //	slipsim -workload soplex -policy slip+abp [-accesses N] [-warmup N]
 //	        [-seed N] [-cores 2 -workload2 mcf] [-rrip] [-binbits 4]
 //	        [-tech 22nm] [-topology h-tree] [-cpuprofile cpu.out]
-//	        [-trace-cache] [-warm-cache] [-sampling 8] [-intra-parallelism 4]
+//	        [-sampling 8] [-intra-parallelism 4]
 //	slipsim -spec run.json                       # run a declarative spec file
 //	slipsim -workload mcf -dump-spec             # print the canonical spec
 //	slipsim -trace file.trc -policy baseline     # replay a tracegen file
@@ -24,20 +24,20 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/hier"
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 func fatal(err error) {
@@ -63,8 +63,6 @@ func main() {
 		dumpSpec = flag.Bool("dump-spec", false, "print the canonical spec JSON for the given flags and exit")
 		traceIn  = flag.String("trace", "", "replay a binary trace file instead of a workload")
 		sampling = flag.Int("sampling", 0, "set-sampling factor K: simulate 1/K of the cache sets and extrapolate (1 = full fidelity; valid: 1, 2, 4, 8, 16)")
-		useTC    = flag.Bool("trace-cache", false, "materialize each trace once and replay it (as the experiment engine does); results are bit-identical")
-		useWC    = flag.Bool("warm-cache", false, "warm a separate hierarchy and measure on a snapshot clone (the experiment engine's warm-cache path); results are bit-identical")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		listPol  = flag.Bool("list-policies", false, "list the registered policies with their metadata and exit")
 		intraPar = flag.Int("intra-parallelism", 0, "intra-run shard count: split the run over N set-sharded replicas with a bit-identical merge (0 = min(GOMAXPROCS, 8), 1 = sequential)")
@@ -143,58 +141,19 @@ func main() {
 		return
 	}
 
-	cfg, err := c.Build()
+	// One run through the experiment engine, with its trace and warm-state
+	// caches off: a lone run has nothing to share them with. Intra-run
+	// sharding merges bit-identically to the sequential run.
+	suite := experiments.NewSuite(experiments.Options{
+		IntraParallelism: *intraPar,
+		TraceCacheBytes:  -1,
+		WarmCacheBytes:   -1,
+	})
+	sys, err := suite.RunSpecContext(context.Background(), c)
 	if err != nil {
 		fatal(err)
 	}
-	sys := hier.New(cfg)
-
-	srcs := make([]trace.Source, cfg.NumCores)
-	for i := range srcs {
-		name := c.Workload
-		if i > 0 && c.MixWith != "" {
-			name = c.MixWith
-		}
-		w, _ := workloads.ByName(name) // canonical specs name valid workloads
-		srcs[i] = w.Build(c.Seed + uint64(i))
-		if *useTC {
-			// Record the whole stream up front and drive the run from the
-			// compact replay buffer (the experiment engine's trace-cache
-			// path); one cursor spans warmup and measurement like the live
-			// generator would.
-			srcs[i] = trace.Record(srcs[i], *c.Warmup+c.Accesses).Replay()
-		}
-	}
-	limit := func(n uint64) []trace.Source {
-		out := make([]trace.Source, len(srcs))
-		for i, s := range srcs {
-			out[i] = trace.Limit(s, n)
-		}
-		return out
-	}
-	// Intra-run sharding: both phases run on the set-sharded executor,
-	// whose merged result is bit-identical to the sequential run (it falls
-	// back to sequential for shard counts <= 1 or unshardable geometries).
-	intra := *intraPar
-	if intra <= 0 {
-		intra = min(runtime.GOMAXPROCS(0), 8)
-	}
-	switch {
-	case *useWC && *c.Warmup > 0:
-		// The experiment engine's warm-cache path: warm a separate
-		// hierarchy, snapshot it, and measure on a materialized clone. The
-		// sources were advanced by the warmup run, so the clone sees the
-		// same measured stream a warmed-in-place system would.
-		ws := hier.New(cfg)
-		ws.RunSharded(intra, limit(*c.Warmup)...)
-		ws.ResetStats()
-		sys = ws.Snapshot().System()
-	case *c.Warmup > 0:
-		sys.RunSharded(intra, limit(*c.Warmup)...)
-		sys.ResetStats()
-	}
-	sys.RunSharded(intra, limit(c.Accesses)...)
-	report(sys, cfg.Policy)
+	report(sys)
 }
 
 // listPolicies renders the policy registry: every run-nable policy with
@@ -243,11 +202,12 @@ func runTrace(path, policy string, seed uint64, rrip bool, binBits uint8, acc ui
 		BinBits: binBits,
 	})
 	sys.Run(trace.Limit(r, acc))
-	report(sys, pol)
+	report(sys)
 }
 
-func report(sys *hier.System, pol hier.PolicyKind) {
+func report(sys *hier.System) {
 	cfg := sys.Config()
+	pol := cfg.Policy
 	fmt.Printf("policy: %s, cores: %d\n\n", pol, cfg.NumCores)
 
 	tb := stats.NewTable("Per-level summary", "level", "accesses", "hit rate", "access pJ", "movement pJ", "metadata pJ", "total uJ")

@@ -26,8 +26,8 @@ func TestPrefetchContextCancelledUpFront(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("PrefetchContext on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if keys := s.Keys(); len(keys) != 0 {
-		t.Errorf("cancelled prefetch memoized %v, want nothing", keys)
+	if n := s.runs.Len(); n != 0 {
+		t.Errorf("cancelled prefetch memoized %d runs, want nothing", n)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestCancelMidRunDoesNotPoisonCache(t *testing.T) {
 	if _, err := s.RunSpecContext(ctx, sp); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel returned %v, want context.Canceled", err)
 	}
-	if keys := s.Keys(); len(keys) != 0 {
-		t.Fatalf("cancelled run memoized %v, want nothing", keys)
+	if n := s.runs.Len(); n != 0 {
+		t.Fatalf("cancelled run memoized %d runs, want nothing", n)
 	}
 
 	sys, err := s.RunSpecContext(context.Background(), sp)

@@ -89,8 +89,8 @@ func TestSingleflightCollapsesConcurrentRuns(t *testing.T) {
 			t.Fatalf("caller %d got a different system: duplicate simulation ran", i)
 		}
 	}
-	if keys := s.Keys(); len(keys) != 1 {
-		t.Errorf("expected one memo entry, got %v", keys)
+	if n := s.runs.Len(); n != 1 {
+		t.Errorf("expected one memo entry, got %d", n)
 	}
 }
 
@@ -103,10 +103,10 @@ func TestPrefetchCoversFigureRuns(t *testing.T) {
 		Benchmarks: []string{"milc", "sphinx3"}, Parallelism: 4,
 	})
 	s.Prefetch(s.SpecsForAll([]string{"fig10", "fig14"}))
-	before := len(s.Keys())
+	before := s.runs.Len()
 	s.Fig10()
 	s.Fig14()
-	if after := len(s.Keys()); after != before {
+	if after := s.runs.Len(); after != before {
 		t.Errorf("figures simulated %d extra runs after prefetch (%d -> %d): SpecsFor is stale",
 			after-before, before, after)
 	}
@@ -124,12 +124,12 @@ func TestRunMixKeyDistinct(t *testing.T) {
 	if b := s.RunMix(m, hier.Baseline); a != b {
 		t.Error("identical mix runs not memoized")
 	}
-	keys := s.Keys()
-	if len(keys) != 1 || !strings.HasPrefix(keys[0], "s1:") {
-		t.Errorf("mix memo keys = %v, want a single spec-hash key", keys)
+	key := s.KeyFor(spec.ForMix(m.A, m.B, hier.Baseline))
+	if _, ok := s.runs.Peek(key); s.runs.Len() != 1 || !ok || !strings.HasPrefix(key, "s1:") {
+		t.Errorf("mix memo holds %d runs, want one under spec-hash key %q", s.runs.Len(), key)
 	}
 	for _, wl := range []string{"milc", "sphinx3"} {
-		if k := s.KeyFor(spec.Single(wl, hier.Baseline)); k == keys[0] {
+		if k := s.KeyFor(spec.Single(wl, hier.Baseline)); k == key {
 			t.Errorf("mix key collides with single-core %s key %q", wl, k)
 		}
 	}

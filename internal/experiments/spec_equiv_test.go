@@ -40,8 +40,8 @@ func TestSpecKeyedRunsEquivalent(t *testing.T) {
 	if a != b {
 		t.Fatal("explicit spec re-simulated a memoized run")
 	}
-	if keys := s.Keys(); len(keys) != 1 {
-		t.Fatalf("memo holds %v, want exactly one key", keys)
+	if n := s.runs.Len(); n != 1 {
+		t.Fatalf("memo holds %d runs, want exactly one", n)
 	}
 
 	// A spec sized differently from the suite defaults must get its own

@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/hier"
+	"repro/internal/lru"
 	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -128,26 +128,17 @@ func (o *Options) normalize() {
 	}
 }
 
-// runEntry is one memo slot with singleflight semantics: whichever
-// goroutine arrives first simulates (claiming flight); any others
-// requesting the same key block on the flight channel until the system is
-// ready. Unlike a sync.Once, a flight that is cancelled mid-simulation
-// leaves the slot empty, so a waiter with a live context simply claims a
-// fresh flight — one caller's cancellation never poisons the cache.
-type runEntry struct {
-	mu     sync.Mutex
-	sys    *hier.System  // non-nil once a flight completed
-	flight chan struct{} // non-nil while a simulation is in progress
-}
-
 // Suite memoizes runs across experiments. All methods are safe for
 // concurrent use; a completed *hier.System is immutable from the Suite's
 // point of view (callers must not drive it further).
 type Suite struct {
 	opts Options
 
-	mu   sync.Mutex
-	runs map[string]*runEntry
+	// runs is the memo: an unbounded singleflight cache of completed
+	// systems. A flight cancelled mid-simulation leaves no entry, so a
+	// waiter with a live context claims a fresh one — one caller's
+	// cancellation never poisons the cache.
+	runs *lru.Cache[*hier.System]
 
 	// pending counts specs dispatched to the Prefetch worker pool and not
 	// yet completed. It drives the intra-run shard scheduler (shardsFor)
@@ -160,7 +151,7 @@ type Suite struct {
 // NewSuite builds a suite with the given options.
 func NewSuite(opts Options) *Suite {
 	opts.normalize()
-	return &Suite{opts: opts, runs: make(map[string]*runEntry)}
+	return &Suite{opts: opts, runs: lru.New[*hier.System](0, nil)}
 }
 
 // Options returns the filled options.
@@ -169,18 +160,6 @@ func (s *Suite) Options() Options { return s.opts }
 // printf writes to the configured output.
 func (s *Suite) printf(format string, args ...any) {
 	fmt.Fprintf(s.opts.Out, format, args...)
-}
-
-// entry returns the memo slot for key, creating it under the lock.
-func (s *Suite) entry(key string) *runEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.runs[key]
-	if !ok {
-		e = &runEntry{}
-		s.runs[key] = e
-	}
-	return e
 }
 
 // ResolveSpec stamps the suite's sizing (accesses, warmup, seed) into any
@@ -220,48 +199,6 @@ func (s *Suite) mustResolve(sp RunSpec) spec.Spec {
 // format is part of the spec package's contract, not this one's.
 func (s *Suite) KeyFor(sp RunSpec) string {
 	return s.mustResolve(sp).MustHash()
-}
-
-// getOrRun returns the memoized system for key, simulating via sim when
-// the slot is empty. Concurrent callers for one key collapse onto a single
-// flight; a cancelled flight leaves the slot empty for the next live
-// caller to retry. The only error is ctx.Err().
-func (s *Suite) getOrRun(ctx context.Context, key string, sim func(context.Context) (*hier.System, error)) (*hier.System, error) {
-	e := s.entry(key)
-	for {
-		e.mu.Lock()
-		if e.sys != nil {
-			e.mu.Unlock()
-			return e.sys, nil
-		}
-		if err := ctx.Err(); err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
-		if e.flight == nil {
-			fl := make(chan struct{})
-			e.flight = fl
-			e.mu.Unlock()
-			sys, err := sim(ctx)
-			e.mu.Lock()
-			if err == nil {
-				e.sys = sys
-			}
-			e.flight = nil
-			e.mu.Unlock()
-			close(fl)
-			return sys, err
-		}
-		fl := e.flight
-		e.mu.Unlock()
-		select {
-		case <-fl:
-			// Flight finished: either sys is set, or it was cancelled and
-			// the loop claims a fresh one.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // progressFor adapts the Options.Progress hook to one keyed run; base
@@ -321,8 +258,10 @@ func (s *Suite) source(name string, seed, total uint64) trace.Source {
 	if tc == nil || total == 0 || total > uint64(tc.Budget())/2 {
 		return wl.Build(seed)
 	}
-	buf := tc.Get(traceCacheKey(name, seed, total), func() *trace.Buffer {
-		return trace.Record(wl.Build(seed), total)
+	// Recording never fails and ignores cancellation: the flight runs to
+	// completion under a background context.
+	buf, _ := tc.Get(context.Background(), traceCacheKey(name, seed, total), func(context.Context) (*trace.Buffer, error) {
+		return trace.Record(wl.Build(seed), total), nil
 	})
 	return buf.Replay()
 }

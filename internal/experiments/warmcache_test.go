@@ -211,87 +211,6 @@ func mustCanonical(t *testing.T, sp spec.Spec) spec.Spec {
 	return c
 }
 
-// TestWarmCacheSingleflight: concurrent Gets for one key must run exactly
-// one warmup and everyone gets the same snapshot.
-func TestWarmCacheSingleflight(t *testing.T) {
-	c := NewWarmCache(0)
-	sp := mustCanonical(t, spec.Single("soplex", hier.Baseline))
-	var gens sync.WaitGroup
-	var genCount int32
-	var mu sync.Mutex
-	snaps := make(map[*hier.Snapshot]int)
-	for i := 0; i < 8; i++ {
-		gens.Add(1)
-		go func() {
-			defer gens.Done()
-			snap, err := c.Get(context.Background(), warmCacheKey(sp), func(context.Context) (*hier.Snapshot, error) {
-				mu.Lock()
-				genCount++
-				mu.Unlock()
-				cfg, _ := sp.Build()
-				return hier.New(cfg).Snapshot(), nil
-			})
-			if err != nil {
-				t.Errorf("Get: %v", err)
-				return
-			}
-			mu.Lock()
-			snaps[snap]++
-			mu.Unlock()
-		}()
-	}
-	gens.Wait()
-	if genCount != 1 {
-		t.Errorf("gen ran %d times, want 1", genCount)
-	}
-	if len(snaps) != 1 {
-		t.Errorf("callers saw %d distinct snapshots, want 1", len(snaps))
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 7 {
-		t.Errorf("stats = %+v, want 1 miss / 7 hits", st)
-	}
-}
-
-// TestWarmCacheFailedFlightNotPoisoned: a cancelled warmup must leave the
-// slot empty so the next live caller retries and succeeds.
-func TestWarmCacheFailedFlightNotPoisoned(t *testing.T) {
-	c := NewWarmCache(0)
-	sp := mustCanonical(t, spec.Single("soplex", hier.Baseline))
-	key := warmCacheKey(sp)
-	// A context cancelled before the call never claims a flight at all.
-	cancelled, cause := context.WithCancel(context.Background())
-	cause()
-	ran := false
-	if _, err := c.Get(cancelled, key, func(ctx context.Context) (*hier.Snapshot, error) {
-		ran = true
-		return nil, ctx.Err()
-	}); err == nil {
-		t.Fatal("pre-cancelled Get returned no error")
-	}
-	if ran {
-		t.Fatal("pre-cancelled Get ran the warmup")
-	}
-	// A flight cancelled mid-warmup reports the error and vacates the slot.
-	mid, stop := context.WithCancel(context.Background())
-	if _, err := c.Get(mid, key, func(ctx context.Context) (*hier.Snapshot, error) {
-		stop()
-		return nil, ctx.Err()
-	}); err == nil {
-		t.Fatal("cancelled flight returned no error")
-	}
-	snap, err := c.Get(context.Background(), key, func(context.Context) (*hier.Snapshot, error) {
-		cfg, _ := sp.Build()
-		return hier.New(cfg).Snapshot(), nil
-	})
-	if err != nil || snap == nil {
-		t.Fatalf("retry after cancelled flight failed: %v", err)
-	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (failed flight + successful retry)", st.Misses)
-	}
-}
-
 // TestWarmCacheBudgetEviction: retained bytes must respect the budget, LRU
 // order, and an over-budget snapshot is returned but never retained.
 func TestWarmCacheBudgetEviction(t *testing.T) {

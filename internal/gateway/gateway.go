@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/service"
 )
 
@@ -63,7 +64,7 @@ type Config struct {
 	// RouteTableCap bounds the id -> backend LRU (default 4096).
 	RouteTableCap int
 
-	// MaxBodyBytes bounds a POST body (default 1 MiB).
+	// MaxBodyBytes bounds a POST body (default service.MaxBodyBytes).
 	MaxBodyBytes int64
 
 	// Client overrides the proxy HTTP client (default: 2-minute timeout).
@@ -93,7 +94,7 @@ func (c *Config) fill() {
 		c.RouteTableCap = 4096
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBodyBytes = service.MaxBodyBytes
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 2 * time.Minute}
@@ -126,7 +127,11 @@ type Gateway struct {
 	cfg     Config
 	client  *http.Client
 	metrics *Metrics
-	routes  *routeTable
+	// routes maps job id -> backend address, populated from POST
+	// responses so GET /v1/runs/{id} lands on the backend that owns the
+	// job. Ids evicted (or minted before a gateway restart) fall back to
+	// the scan path in handleGetRun.
+	routes *lru.Cache[string]
 
 	mu       sync.Mutex
 	backends map[string]*backend
@@ -159,7 +164,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		client:   cfg.Client,
 		metrics:  newMetrics(),
-		routes:   newRouteTable(cfg.RouteTableCap),
+		routes:   lru.New[string](int64(cfg.RouteTableCap), nil),
 		backends: make(map[string]*backend),
 		ctx:      ctx,
 		cancel:   cancel,

@@ -195,7 +195,7 @@ func (g *Gateway) handlePostRun(w http.ResponseWriter, r *http.Request) {
 				ID string `json:"id"`
 			}
 			if json.Unmarshal(respBody, &v) == nil && v.ID != "" {
-				g.routes.put(v.ID, addr)
+				g.routes.Put(v.ID, addr)
 			}
 		})
 }
@@ -226,7 +226,7 @@ func (g *Gateway) keyOf(body []byte) (string, error) {
 // reachable.
 func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if addr, ok := g.routes.get(id); ok {
+	if addr, ok := g.routes.Peek(id); ok {
 		status, hdr, body, err := g.proxyOnce(r, addr, http.MethodGet, "/v1/runs/"+id, nil)
 		if err == nil {
 			relay(w, addr, "", status, hdr, body)
@@ -240,7 +240,7 @@ func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil || status == http.StatusNotFound {
 			continue
 		}
-		g.routes.put(id, addr)
+		g.routes.Put(id, addr)
 		relay(w, addr, "", status, hdr, body)
 		return
 	}
@@ -309,7 +309,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	up, draining, _ := g.stateSnapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.metrics.WriteTo(w, gwGauges{up: up, draining: draining, routes: g.routes.len()})
+	g.metrics.WriteTo(w, gwGauges{up: up, draining: draining, routes: g.routes.Len()})
 }
 
 // BackendView is one backend's admin listing entry.

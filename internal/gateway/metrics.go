@@ -13,12 +13,11 @@ var proxyLatencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 3
 
 // backendCounters are the per-backend series.
 type backendCounters struct {
-	requests  uint64 // proxied requests answered by this backend
-	errors    uint64 // transport failures and 5xx answers
-	retries   uint64 // requests retried away from this backend
-	ejections uint64 // healthy -> unhealthy transitions
-	latSum    float64
-	latCount  uint64
+	requests  uint64  // proxied requests answered by this backend
+	errors    uint64  // transport failures and 5xx answers
+	retries   uint64  // requests retried away from this backend
+	ejections uint64  // healthy -> unhealthy transitions
+	latSum    float64 // summed latency of the answered requests
 }
 
 // Metrics is the gateway's dependency-free Prometheus-text registry. All
@@ -29,8 +28,11 @@ type Metrics struct {
 
 	noBackend uint64 // requests refused because no backend was ready
 
+	// slipgw_request_seconds histogram over all backends.
 	latCounts []uint64
 	latInf    uint64
+	latSum    float64
+	latCount  uint64
 }
 
 // newMetrics builds an empty registry.
@@ -58,7 +60,8 @@ func (m *Metrics) Request(addr string, seconds float64) {
 	c := m.be(addr)
 	c.requests++
 	c.latSum += seconds
-	c.latCount++
+	m.latSum += seconds
+	m.latCount++
 	for i, b := range proxyLatencyBuckets {
 		if seconds <= b {
 			m.latCounts[i]++
@@ -162,8 +165,7 @@ func (m *Metrics) WriteTo(w io.Writer, g gwGauges) {
 	series("slipgw_errors_total", "Transport failures and 5xx answers, by backend.", "counter", func(a string) float64 { return float64(cnt(a).errors) })
 	series("slipgw_retries_total", "Requests retried away, by abandoned backend.", "counter", func(a string) float64 { return float64(cnt(a).retries) })
 	series("slipgw_ejections_total", "Healthy-to-unhealthy transitions, by backend.", "counter", func(a string) float64 { return float64(cnt(a).ejections) })
-	series("slipgw_request_seconds_sum", "Proxied latency sum, by backend.", "counter", func(a string) float64 { return cnt(a).latSum })
-	series("slipgw_request_seconds_count", "Proxied latency count, by backend.", "counter", func(a string) float64 { return float64(cnt(a).latCount) })
+	series("slipgw_backend_request_seconds_total", "Summed proxied latency, by backend (divide by slipgw_requests_total for the mean).", "counter", func(a string) float64 { return cnt(a).latSum })
 
 	fmt.Fprintf(w, "# HELP slipgw_request_seconds Proxied request latency (all backends).\n# TYPE slipgw_request_seconds histogram\n")
 	var cum uint64
@@ -172,6 +174,8 @@ func (m *Metrics) WriteTo(w io.Writer, g gwGauges) {
 		fmt.Fprintf(w, "slipgw_request_seconds_bucket{le=%q} %d\n", fmt.Sprintf("%g", b), cum)
 	}
 	fmt.Fprintf(w, "slipgw_request_seconds_bucket{le=\"+Inf\"} %d\n", cum+m.latInf)
+	fmt.Fprintf(w, "slipgw_request_seconds_sum %g\n", m.latSum)
+	fmt.Fprintf(w, "slipgw_request_seconds_count %d\n", m.latCount)
 
 	fmt.Fprintf(w, "# HELP slipgw_no_backend_total Requests refused: no ready backend.\n# TYPE slipgw_no_backend_total counter\nslipgw_no_backend_total %d\n", m.noBackend)
 	fmt.Fprintf(w, "# HELP slipgw_routes Job routes currently held (id -> backend).\n# TYPE slipgw_routes gauge\nslipgw_routes %d\n", g.routes)

@@ -198,7 +198,7 @@ type System struct {
 	cumL2, cumL3 []uint64 // distribution bin boundaries in lines
 
 	// defCodeL2/defCodeL3 cache the Default SLIP codes and uniformLat2/
-	// uniformLat3 cache the drivers' UniformLatency answers; both are
+	// uniformLat3 cache the descriptor's UniformLatency bit; both are
 	// constant per configuration and sit on the per-access hot path, where
 	// an interface dispatch (or worse, a policy re-encoding) per reference
 	// is measurable.
@@ -268,6 +268,7 @@ func New(cfg Config) *System {
 	s.defCodeL3 = s.encL3.DefaultCode()
 
 	chargeMeta := desc.UsesMetadata
+	s.uniformLat2 = desc.UniformLatency
 	s.l3 = cache.New(cache.Config{
 		Params:         cfg.L3Params,
 		Bytes:          cfg.L3Bytes,
@@ -275,7 +276,7 @@ func New(cfg Config) *System {
 		UseRRIP:        cfg.UseRRIP,
 	})
 	s.d3 = s.newDriver(3, cfg.Seed)
-	s.uniformLat3 = s.d3.UniformLatency()
+	s.uniformLat3 = desc.UniformLatency
 	if d, ok := s.d3.(*policy.SLIP); ok {
 		s.slipL3 = d
 	}
@@ -293,7 +294,6 @@ func New(cfg Config) *System {
 			UseRRIP:        cfg.UseRRIP,
 		})
 		cn.d2 = s.newDriver(2, cfg.Seed+uint64(i)*977)
-		s.uniformLat2 = cn.d2.UniformLatency()
 		if d, ok := cn.d2.(*policy.SLIP); ok {
 			s.slipL2 = append(s.slipL2, d)
 		}

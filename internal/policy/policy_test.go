@@ -29,9 +29,6 @@ func codeFor(sizes ...int) uint8 {
 func TestBaselineInsertAndEvict(t *testing.T) {
 	l := newL2(false)
 	b := NewBaseline()
-	if b.Name() != "baseline" || b.UsesMetadata() || !b.UniformLatency() {
-		t.Error("baseline descriptor wrong")
-	}
 	// Fill one set beyond capacity.
 	for i := 0; i < 17; i++ {
 		out := b.Insert(l, addrInSet(i), false, cache.Meta{})
@@ -233,9 +230,6 @@ func TestSLIPValidation(t *testing.T) {
 func TestNuRAPIDInsertsNearAndPromotes(t *testing.T) {
 	l := newL2(true)
 	n := NewNuRAPID()
-	if n.UniformLatency() || !n.UsesMetadata() {
-		t.Error("descriptor wrong")
-	}
 	// Fill sublevel 0, then demote one line by inserting a 5th.
 	for i := 0; i < 5; i++ {
 		n.Insert(l, addrInSet(i), false, cache.Meta{})

@@ -75,15 +75,6 @@ func NewSLIP(numSublevels, level int) *SLIP {
 	}
 }
 
-// Name implements Driver.
-func (*SLIP) Name() string { return "slip" }
-
-// UsesMetadata implements Driver.
-func (*SLIP) UsesMetadata() bool { return true }
-
-// UniformLatency implements Driver.
-func (*SLIP) UniformLatency() bool { return false }
-
 // OnHit implements Driver: SLIP deliberately never promotes on hit — lines
 // are placed by reuse prediction instead (the core energy argument of
 // Section 1).

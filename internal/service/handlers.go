@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/policy"
@@ -52,12 +53,29 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// MaxBodyBytes bounds a POST /v1/runs body. A run request is a few
+// hundred bytes of JSON; the gateway's default body cap is the same value.
+const MaxBodyBytes = 1 << 20
+
+// ReadHeaderTimeout and IdleTimeout bound how long the slipd and
+// slipd-gateway HTTP servers wait on a client: for a request's headers,
+// and for the next request on an idle keep-alive connection.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // handlePostRun admits one simulation request.
 func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -245,30 +263,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders the Prometheus registry with live gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	ts := s.TraceCacheStats()
-	ws := s.WarmCacheStats()
-	cs := s.store.DiskStats()
 	s.metrics.WriteTo(w, Gauges{
-		QueueDepth:     s.queue.Depth,
-		QueueCap:       s.queue.Cap,
-		JobsQueued:     s.queuedCount,
-		JobsRunning:    func() int { return int(s.running.Load()) },
-		StoreLen:       s.store.Len,
-		StoreEvicted:   s.store.Evictions,
-		StoreCapacity:  func() int { return s.cfg.StoreCap },
-		TraceHits:      func() uint64 { return ts.Hits },
-		TraceMisses:    func() uint64 { return ts.Misses },
-		TraceBytes:     func() int64 { return ts.Bytes },
-		TraceEvictions: func() uint64 { return ts.Evictions },
-		WarmHits:       func() uint64 { return ws.Hits },
-		WarmMisses:     func() uint64 { return ws.Misses },
-		WarmBytes:      func() int64 { return ws.Bytes },
-		WarmEvictions:  func() uint64 { return ws.Evictions },
-		CASHits:        func() uint64 { return cs.Hits },
-		CASMisses:      func() uint64 { return cs.Misses },
-		CASBytes:       func() int64 { return cs.Bytes },
-		CASErrors:      func() uint64 { return cs.Errors },
-		CASEvictions:   func() uint64 { return cs.Evictions },
-		CASEntries:     func() int { return cs.Entries },
+		QueueDepth:    s.queue.Depth,
+		QueueCap:      s.queue.Cap,
+		JobsQueued:    s.queuedCount,
+		JobsRunning:   func() int { return int(s.running.Load()) },
+		StoreLen:      s.store.Len,
+		StoreEvicted:  s.store.Evictions,
+		StoreCapacity: func() int { return s.cfg.StoreCap },
+		TraceCache:    s.TraceCacheStats,
+		WarmCache:     s.WarmCacheStats,
+		CAS:           s.store.DiskStats,
 	})
 }

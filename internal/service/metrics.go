@@ -5,6 +5,9 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"repro/internal/castore"
+	"repro/internal/lru"
 )
 
 // runLatencyBuckets are the per-run latency histogram bounds in seconds,
@@ -137,27 +140,12 @@ type Gauges struct {
 	StoreLen      func() int
 	StoreEvicted  func() uint64
 	StoreCapacity func() int
-	// Trace materialization cache counters (experiments.TraceCache); nil
-	// funcs render as zero so /metrics keeps a stable shape when the
-	// cache is disabled.
-	TraceHits      func() uint64
-	TraceMisses    func() uint64
-	TraceBytes     func() int64
-	TraceEvictions func() uint64
-	// Warm-state snapshot cache counters (experiments.WarmCache), rendered
-	// with the same nil-as-zero convention.
-	WarmHits      func() uint64
-	WarmMisses    func() uint64
-	WarmBytes     func() int64
-	WarmEvictions func() uint64
-	// Durable content-addressed result store counters (castore.Store),
-	// same nil-as-zero convention when the daemon runs memory-only.
-	CASHits      func() uint64
-	CASMisses    func() uint64
-	CASBytes     func() int64
-	CASErrors    func() uint64
-	CASEvictions func() uint64
-	CASEntries   func() int
+	// TraceCache and WarmCache snapshot the experiment engine's shared
+	// caches and CAS the durable result store; each reports zeros when its
+	// cache is disabled, so /metrics keeps a stable shape.
+	TraceCache func() lru.Stats
+	WarmCache  func() lru.Stats
+	CAS        func() castore.Stats
 }
 
 // WriteTo renders the registry in Prometheus text exposition format.
@@ -201,45 +189,30 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 
 	// Trace materialization cache: one trace generated (miss) can serve
 	// many runs (hits); bytes is the retained encoded footprint.
-	u64 := func(f func() uint64) float64 {
-		if f == nil {
-			return 0
-		}
-		return float64(f())
-	}
-	i64 := func(f func() int64) float64 {
-		if f == nil {
-			return 0
-		}
-		return float64(f())
-	}
-	gauge("slip_trace_cache_hits", "Runs served by an already-materialized (or in-flight) trace.", u64(g.TraceHits))
-	gauge("slip_trace_cache_misses", "Runs that had to generate and record their trace.", u64(g.TraceMisses))
-	gauge("slip_trace_cache_bytes", "Encoded trace bytes currently retained.", i64(g.TraceBytes))
-	gauge("slip_trace_cache_evictions", "Traces evicted by the LRU byte budget.", u64(g.TraceEvictions))
+	ts := g.TraceCache()
+	counter("slip_trace_cache_hits_total", "Runs served by an already-materialized (or in-flight) trace.", float64(ts.Hits))
+	counter("slip_trace_cache_misses_total", "Runs that had to generate and record their trace.", float64(ts.Misses))
+	gauge("slip_trace_cache_bytes", "Encoded trace bytes currently retained.", float64(ts.Bytes))
+	counter("slip_trace_cache_evictions_total", "Traces evicted by the LRU byte budget.", float64(ts.Evictions))
 
 	// Warm-state snapshot cache: one warmup simulated (miss) seeds every
 	// later run sharing its warmup identity (hits).
-	gauge("slip_warm_cache_hits", "Runs seeded from a cached (or in-flight) warm snapshot.", u64(g.WarmHits))
-	gauge("slip_warm_cache_misses", "Runs that had to simulate their warmup.", u64(g.WarmMisses))
-	gauge("slip_warm_cache_bytes", "Estimated snapshot bytes currently retained.", i64(g.WarmBytes))
-	gauge("slip_warm_cache_evictions", "Snapshots evicted by the LRU byte budget.", u64(g.WarmEvictions))
+	ws := g.WarmCache()
+	counter("slip_warm_cache_hits_total", "Runs seeded from a cached (or in-flight) warm snapshot.", float64(ws.Hits))
+	counter("slip_warm_cache_misses_total", "Runs that had to simulate their warmup.", float64(ws.Misses))
+	gauge("slip_warm_cache_bytes", "Estimated snapshot bytes currently retained.", float64(ws.Bytes))
+	counter("slip_warm_cache_evictions_total", "Snapshots evicted by the LRU byte budget.", float64(ws.Evictions))
 
 	// Durable content-addressed store: disk hits answer POSTs and key
 	// fetches without re-simulation across restarts; errors count corrupt
 	// or unwritable entries detected and dropped.
-	gauge("slip_castore_hits", "Result reads served from a verified disk entry.", u64(g.CASHits))
-	gauge("slip_castore_misses", "Result reads with no valid disk entry.", u64(g.CASMisses))
-	gauge("slip_castore_bytes", "Entry bytes currently indexed on disk.", i64(g.CASBytes))
-	gauge("slip_castore_errors", "Corrupt/truncated entries dropped plus failed writes.", u64(g.CASErrors))
-	gauge("slip_castore_evictions", "Disk entries evicted by the byte budget.", u64(g.CASEvictions))
-	intg := func(f func() int) float64 {
-		if f == nil {
-			return 0
-		}
-		return float64(f())
-	}
-	gauge("slip_castore_entries", "Disk entries currently indexed.", intg(g.CASEntries))
+	cs := g.CAS()
+	counter("slip_castore_hits_total", "Result reads served from a verified disk entry.", float64(cs.Hits))
+	counter("slip_castore_misses_total", "Result reads with no valid disk entry.", float64(cs.Misses))
+	gauge("slip_castore_bytes", "Entry bytes currently indexed on disk.", float64(cs.Bytes))
+	counter("slip_castore_errors_total", "Corrupt/truncated entries dropped plus failed writes.", float64(cs.Errors))
+	counter("slip_castore_evictions_total", "Disk entries evicted by the byte budget.", float64(cs.Evictions))
+	gauge("slip_castore_entries", "Disk entries currently indexed.", float64(cs.Entries))
 
 	counter("slip_sampled_runs_total", "Completed set-sampled (sampling > 1) runs.", float64(m.sampledRuns))
 	counter("slip_shard_runs_total", "Completed runs executed by the intra-run sharded executor.", float64(m.shardRuns))

@@ -210,21 +210,11 @@ func (s *Server) Store() *Store { return s.store }
 
 // TraceCacheStats snapshots the shared trace materialization cache; all
 // zeros when the cache is disabled.
-func (s *Server) TraceCacheStats() experiments.TraceCacheStats {
-	if s.traceCache == nil {
-		return experiments.TraceCacheStats{}
-	}
-	return s.traceCache.Stats()
-}
+func (s *Server) TraceCacheStats() experiments.TraceCacheStats { return s.traceCache.Stats() }
 
 // WarmCacheStats snapshots the shared warm-state snapshot cache; all zeros
 // when the cache is disabled.
-func (s *Server) WarmCacheStats() experiments.WarmCacheStats {
-	if s.warmCache == nil {
-		return experiments.WarmCacheStats{}
-	}
-	return s.warmCache.Stats()
-}
+func (s *Server) WarmCacheStats() experiments.WarmCacheStats { return s.warmCache.Stats() }
 
 // Start launches the worker pool.
 func (s *Server) Start() {

@@ -314,6 +314,22 @@ func TestValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestPostRunBodyBound: a POST body over MaxBodyBytes is refused with 413
+// before it is decoded, while a valid request padded up to just under the
+// cap is admitted.
+func TestPostRunBodyBound(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
+	over := `{"workload":"` + strings.Repeat("x", MaxBodyBytes) + `","policy":"baseline"}`
+	if code, _, _ := postRun(t, ts, over); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize POST = %d, want 413", code)
+	}
+	valid := `{"workload":"milc","policy":"baseline","accesses":2000,"warmup":0}`
+	under := strings.Repeat(" ", MaxBodyBytes-len(valid)) + valid
+	if code, _, _ := postRun(t, ts, under); code != http.StatusAccepted {
+		t.Errorf("POST at the cap = %d, want 202", code)
+	}
+}
+
 // TestExperimentEndpoint renders a paper experiment over HTTP; fig1 is the
 // cheapest one that simulates.
 func TestExperimentEndpoint(t *testing.T) {

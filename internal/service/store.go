@@ -1,11 +1,11 @@
 package service
 
 import (
-	"container/list"
 	"encoding/json"
 	"sync"
 
 	"repro/internal/castore"
+	"repro/internal/lru"
 )
 
 // Store is a fixed-capacity in-memory LRU of completed run results keyed
@@ -19,12 +19,8 @@ import (
 // mutate the cached entry (or each other's view of it) through the
 // returned pointer.
 type Store struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	evictions uint64
+	// mem is the memory tier: a count-bounded LRU of private copies.
+	mem *lru.Cache[*RunResult]
 
 	// disk is the durable tier; nil runs memory-only. Writes flow through
 	// diskCh to a single writer goroutine so simulation workers never
@@ -41,12 +37,6 @@ type diskWrite struct {
 	payload []byte
 }
 
-// storeItem is one LRU node.
-type storeItem struct {
-	key string
-	res *RunResult
-}
-
 // NewStore builds a memory-only store holding at most capacity results.
 func NewStore(capacity int) *Store { return NewStoreWithDisk(capacity, nil) }
 
@@ -57,12 +47,7 @@ func NewStoreWithDisk(capacity int, disk *castore.Store) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	st := &Store{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-		disk:  disk,
-	}
+	st := &Store{mem: lru.New[*RunResult](int64(capacity), nil), disk: disk}
 	if disk != nil {
 		st.diskCh = make(chan diskWrite, 64)
 		st.diskDone = make(chan struct{})
@@ -86,14 +71,9 @@ func (st *Store) diskWriter() {
 // recent. A memory miss falls through to the disk tier; a disk hit is
 // promoted back into memory.
 func (st *Store) Get(key string) (*RunResult, bool) {
-	st.mu.Lock()
-	if el, ok := st.items[key]; ok {
-		st.ll.MoveToFront(el)
-		res := el.Value.(*storeItem).res.Clone()
-		st.mu.Unlock()
-		return res, true
+	if res, ok := st.mem.Peek(key); ok {
+		return res.Clone(), true
 	}
-	st.mu.Unlock()
 
 	if st.disk == nil {
 		return nil, false
@@ -108,9 +88,7 @@ func (st *Store) Get(key string) (*RunResult, bool) {
 		// incompatible entry), not corruption; treat as a miss.
 		return nil, false
 	}
-	st.mu.Lock()
-	st.putMemLocked(key, &res)
-	st.mu.Unlock()
+	st.mem.Put(key, &res)
 	return res.Clone(), true
 }
 
@@ -119,30 +97,12 @@ func (st *Store) Get(key string) (*RunResult, bool) {
 // res cannot corrupt the cache.
 func (st *Store) Put(key string, res *RunResult) {
 	kept := res.Clone()
-	st.mu.Lock()
-	st.putMemLocked(key, kept)
-	st.mu.Unlock()
+	st.mem.Put(key, kept)
 	if st.disk == nil {
 		return
 	}
 	if payload, err := json.Marshal(kept); err == nil {
 		st.diskCh <- diskWrite{key: key, payload: payload}
-	}
-}
-
-// putMemLocked is the memory-tier insert; call with st.mu held.
-func (st *Store) putMemLocked(key string, res *RunResult) {
-	if el, ok := st.items[key]; ok {
-		el.Value.(*storeItem).res = res
-		st.ll.MoveToFront(el)
-		return
-	}
-	st.items[key] = st.ll.PushFront(&storeItem{key: key, res: res})
-	if st.ll.Len() > st.cap {
-		oldest := st.ll.Back()
-		st.ll.Remove(oldest)
-		delete(st.items, oldest.Value.(*storeItem).key)
-		st.evictions++
 	}
 }
 
@@ -170,15 +130,7 @@ func (st *Store) DiskStats() castore.Stats {
 }
 
 // Len is the current number of memory-cached results.
-func (st *Store) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.ll.Len()
-}
+func (st *Store) Len() int { return st.mem.Len() }
 
 // Evictions counts memory entries dropped to stay within capacity.
-func (st *Store) Evictions() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.evictions
-}
+func (st *Store) Evictions() uint64 { return st.mem.Stats().Evictions }

@@ -6,7 +6,7 @@
 #   affinity    — the same spec POSTed twice lands on the same backend
 #                 (X-Slipd-Backend) and the repeat is served "cached":true;
 #   durability  — restarting the owning backend over the same -store-dir
-#                 answers the repeat POST from disk (slip_castore_hits >= 1,
+#                 answers the repeat POST from disk (slip_castore_hits_total >= 1,
 #                 no re-simulation) and GET /v1/results/{key} through the
 #                 gateway returns byte-identical result JSON;
 #   failover    — killing a backend re-routes its keys to the
@@ -125,7 +125,7 @@ HOME3=$(hdr x-slipd-backend "$TMP/h3")
 echo "$BODY3" | grep -q '"cached":true' || {
   echo "post-restart POST re-simulated instead of reading disk: $BODY3"; exit 1
 }
-metric "$HOME1" '^slip_castore_hits [1-9]' || {
+metric "$HOME1" '^slip_castore_hits_total [1-9]' || {
   echo "restart served the result without a castore hit"; exit 1
 }
 RESULT2=$(curl -fsS "$GW/v1/results/$KEY")
@@ -166,7 +166,10 @@ done
 metric "$GW" "slipgw_ejections_total\{backend=\"$HOMEB\"\} [1-9]" || {
   echo "health checker never ejected $HOMEB"; exit 1
 }
-echo "retry and ejection visible in gateway /metrics"
+metric "$GW" '^slipgw_request_seconds_count [1-9]' || {
+  echo "gateway latency histogram has no _count in /metrics"; exit 1
+}
+echo "retry, ejection and latency histogram visible in gateway /metrics"
 
 # --- drain: administratively move a key range away and back -------------
 HOME_BARE=${HOME1#http://}

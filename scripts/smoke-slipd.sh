@@ -85,10 +85,10 @@ for _ in $(seq 1 300); do
   sleep 0.2
 done
 METRICS=$(curl -fsS "$BASE/metrics")
-echo "$METRICS" | grep -Eq '^slip_trace_cache_hits [1-9]' || {
+echo "$METRICS" | grep -Eq '^slip_trace_cache_hits_total [1-9]' || {
   echo "no trace cache hit in /metrics"; exit 1
 }
-echo "$METRICS" | grep -Eq '^slip_trace_cache_misses [1-9]' || {
+echo "$METRICS" | grep -Eq '^slip_trace_cache_misses_total [1-9]' || {
   echo "no trace cache miss in /metrics"; exit 1
 }
 echo "$METRICS" | grep -Eq '^slip_trace_cache_bytes [1-9]' || {
@@ -112,17 +112,17 @@ for _ in $(seq 1 300); do
   sleep 0.2
 done
 METRICS=$(curl -fsS "$BASE/metrics")
-echo "$METRICS" | grep -Eq '^slip_warm_cache_hits [1-9]' || {
+echo "$METRICS" | grep -Eq '^slip_warm_cache_hits_total [1-9]' || {
   echo "no warm cache hit in /metrics"; exit 1
 }
-echo "$METRICS" | grep -Eq '^slip_warm_cache_misses [1-9]' || {
+echo "$METRICS" | grep -Eq '^slip_warm_cache_misses_total [1-9]' || {
   echo "no warm cache miss in /metrics"; exit 1
 }
 echo "$METRICS" | grep -Eq '^slip_warm_cache_bytes [1-9]' || {
   echo "warm cache retains no bytes per /metrics"; exit 1
 }
-echo "$METRICS" | grep -q '^slip_warm_cache_evictions ' || {
-  echo "warm cache evictions gauge missing from /metrics"; exit 1
+echo "$METRICS" | grep -q '^slip_warm_cache_evictions_total ' || {
+  echo "warm cache evictions counter missing from /metrics"; exit 1
 }
 echo "warm cache hit/miss/bytes confirmed via /metrics"
 
