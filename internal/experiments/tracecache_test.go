@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -160,6 +162,53 @@ func TestTraceCacheBudgetUnderConcurrentPrefetch(t *testing.T) {
 	}
 	if st.Misses < uint64(len(benches)) {
 		t.Errorf("%d misses, want at least one per workload (%d)", st.Misses, len(benches))
+	}
+}
+
+// TestTraceCacheSingleflight checks generation dedup: concurrent Gets for
+// one key run gen exactly once and all observe the same buffer.
+func TestTraceCacheSingleflight(t *testing.T) {
+	tc := NewTraceCache(0)
+	var gens atomic.Uint64
+	gen := func(context.Context) (*trace.Buffer, error) {
+		gens.Add(1)
+		wl, _ := workloads.ByName("soplex")
+		return trace.Record(wl.Build(3), 10_000), nil
+	}
+
+	const callers = 16
+	bufs := make([]*trace.Buffer, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, err := tc.Get(context.Background(), "t1:soplex:3:10000", gen)
+			if err != nil {
+				t.Errorf("caller %d: Get: %v", i, err)
+			}
+			bufs[i] = b
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if n := gens.Load(); n != 1 {
+		t.Errorf("gen ran %d times, want 1", n)
+	}
+	for i, b := range bufs {
+		if b != bufs[0] {
+			t.Errorf("caller %d got a different buffer", i)
+		}
+		if b.Len() != 10_000 {
+			t.Errorf("caller %d: buffer holds %d accesses, want 10000", i, b.Len())
+		}
+	}
+	st := tc.Stats()
+	if st.Misses != 1 || st.Hits != callers-1 {
+		t.Errorf("stats hits=%d misses=%d, want hits=%d misses=1", st.Hits, st.Misses, callers-1)
 	}
 }
 

@@ -211,6 +211,48 @@ func mustCanonical(t *testing.T, sp spec.Spec) spec.Spec {
 	return c
 }
 
+// TestWarmCacheSingleflight: concurrent Gets for one key must run exactly
+// one warmup and everyone gets the same snapshot.
+func TestWarmCacheSingleflight(t *testing.T) {
+	c := NewWarmCache(0)
+	sp := mustCanonical(t, spec.Single("soplex", hier.Baseline))
+	var gens sync.WaitGroup
+	var genCount int32
+	var mu sync.Mutex
+	snaps := make(map[*hier.Snapshot]int)
+	for i := 0; i < 8; i++ {
+		gens.Add(1)
+		go func() {
+			defer gens.Done()
+			snap, err := c.Get(context.Background(), warmCacheKey(sp), func(context.Context) (*hier.Snapshot, error) {
+				mu.Lock()
+				genCount++
+				mu.Unlock()
+				cfg, _ := sp.Build()
+				return hier.New(cfg).Snapshot(), nil
+			})
+			if err != nil {
+				t.Errorf("Get: %v", err)
+				return
+			}
+			mu.Lock()
+			snaps[snap]++
+			mu.Unlock()
+		}()
+	}
+	gens.Wait()
+	if genCount != 1 {
+		t.Errorf("gen ran %d times, want 1", genCount)
+	}
+	if len(snaps) != 1 {
+		t.Errorf("callers saw %d distinct snapshots, want 1", len(snaps))
+	}
+	st := c.Stats()
+	if st.Misses != 1 || st.Hits != 7 {
+		t.Errorf("stats = %+v, want 1 miss / 7 hits", st)
+	}
+}
+
 // TestWarmCacheBudgetEviction: retained bytes must respect the budget, LRU
 // order, and an over-budget snapshot is returned but never retained.
 func TestWarmCacheBudgetEviction(t *testing.T) {
