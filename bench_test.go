@@ -118,14 +118,45 @@ func suiteMatrix(parallelism int) {
 
 // BenchmarkSuiteParallel measures the wall-clock of fanning the benchmark x
 // policy matrix over the worker pool, per pool width. The sequential
-// sub-benchmark (workers=1) is the baseline for the speedup figure
-// cmd/suitebench reports.
+// sub-benchmark (workers=1) is the baseline the pool's speedup is read
+// against.
 func BenchmarkSuiteParallel(b *testing.B) {
 	b.ReportAllocs()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				suiteMatrix(workers)
+			}
+		})
+	}
+}
+
+// BenchmarkSetSampling measures the wall-clock of the fig9 matrix (the
+// bench-sized benchmark set against baseline and the evaluated policies)
+// per set-sampling factor; k=1 is full fidelity, the baseline each
+// factor's speedup is read against. The accuracy side is the setsampling
+// experiment. Every sub-benchmark replays one shared trace cache, recorded
+// up front under the cheapest factor, so the timings compare simulation
+// cost, not trace generation. The warm cache is off: no two matrix runs
+// share a warmup identity.
+func BenchmarkSetSampling(b *testing.B) {
+	factors := append([]int{1}, experiments.SamplingFactors...)
+	pols := append([]hier.PolicyKind{hier.Baseline}, experiments.EvalPolicies()...)
+	tc := experiments.NewTraceCache(0)
+	matrix := func(k int) {
+		opts := benchOpts()
+		opts.Accesses = 100_000
+		opts.Warmup = 100_000
+		opts.Sampling = k
+		opts.TraceCache = tc
+		opts.WarmCacheBytes = -1
+		experiments.NewSuite(opts).RunAll(pols...)
+	}
+	matrix(factors[len(factors)-1])
+	for _, k := range factors {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matrix(k)
 			}
 		})
 	}

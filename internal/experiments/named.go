@@ -5,11 +5,13 @@ import (
 	"strings"
 )
 
-// experimentOrder is the paper's presentation order; slipbench's -exp all
-// and the slipd /v1/experiments endpoint both follow it.
+// experimentOrder is the paper's presentation order, then the registry-wide
+// policy table and the set-sampling calibration; slipbench's -exp all and
+// the slipd /v1/experiments endpoint both follow it.
 var experimentOrder = []string{
 	"fig1", "fig3", "table2", "htree", "fig9", "fig10", "fig11", "fig12",
 	"fig13", "fig14", "fig15", "fig16", "tech22", "binwidth", "sampling",
+	"policies", "setsampling",
 }
 
 // ExperimentNames returns every experiment name in presentation order.
@@ -64,6 +66,10 @@ func (s *Suite) RunNamed(name string) error {
 		s.BinWidth()
 	case "sampling":
 		s.Sampling()
+	case "policies":
+		s.Policies()
+	case "setsampling":
+		s.SetSampling()
 	default:
 		return fmt.Errorf("experiments: unknown experiment %q (valid: %s)",
 			name, strings.Join(experimentOrder, ", "))

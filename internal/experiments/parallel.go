@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/hier"
@@ -109,13 +110,7 @@ func (s *Suite) RunAll(policies ...hier.PolicyKind) map[string]map[hier.PolicyKi
 // RunAllContext is RunAll under a context; on cancellation it returns
 // (nil, ctx.Err()) and stops queued work promptly.
 func (s *Suite) RunAllContext(ctx context.Context, policies ...hier.PolicyKind) (map[string]map[hier.PolicyKind]*hier.System, error) {
-	var specs []RunSpec
-	for _, wl := range s.opts.Benchmarks {
-		for _, p := range policies {
-			specs = append(specs, spec.Single(wl, p))
-		}
-	}
-	if err := s.PrefetchContext(ctx, specs); err != nil {
+	if err := s.PrefetchContext(ctx, s.matrix(policies...)); err != nil {
 		return nil, err
 	}
 	out := make(map[string]map[hier.PolicyKind]*hier.System, len(s.opts.Benchmarks))
@@ -135,15 +130,6 @@ func (s *Suite) RunAllContext(ctx context.Context, policies ...hier.PolicyKind) 
 // nothing (fig3, table2) return nil; unknown names panic with the valid
 // set.
 func (s *Suite) SpecsFor(exp string) []RunSpec {
-	matrix := func(pols ...hier.PolicyKind) []RunSpec {
-		var specs []RunSpec
-		for _, wl := range s.opts.Benchmarks {
-			for _, p := range pols {
-				specs = append(specs, spec.Single(wl, p))
-			}
-		}
-		return specs
-	}
 	withEval := append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)
 	switch exp {
 	case "fig1":
@@ -155,17 +141,17 @@ func (s *Suite) SpecsFor(exp string) []RunSpec {
 	case "fig3", "table2":
 		return nil
 	case "htree":
-		specs := matrix(hier.Baseline)
+		specs := s.matrix(hier.Baseline)
 		for _, wl := range s.opts.Benchmarks {
 			specs = append(specs, htreeSpec(wl))
 		}
 		return specs
 	case "fig9", "fig11", "fig13", "fig15":
-		return matrix(withEval...)
+		return s.matrix(withEval...)
 	case "fig10", "fig12":
-		return matrix(hier.Baseline, hier.SLIP, hier.SLIPABP)
+		return s.matrix(hier.Baseline, hier.SLIP, hier.SLIPABP)
 	case "fig14":
-		return matrix(hier.SLIPABP)
+		return s.matrix(hier.SLIPABP)
 	case "fig16":
 		var specs []RunSpec
 		for _, m := range workloads.Mixes() {
@@ -183,7 +169,7 @@ func (s *Suite) SpecsFor(exp string) []RunSpec {
 		}
 		return specs
 	case "binwidth":
-		specs := matrix(hier.Baseline)
+		specs := s.matrix(hier.Baseline)
 		for _, b := range binWidths {
 			for _, wl := range s.opts.Benchmarks {
 				specs = append(specs, bitsSpec(wl, b))
@@ -191,15 +177,35 @@ func (s *Suite) SpecsFor(exp string) []RunSpec {
 		}
 		return specs
 	case "sampling":
-		specs := matrix(hier.SLIPABP)
+		specs := s.matrix(hier.SLIPABP)
 		for _, wl := range s.opts.Benchmarks {
 			specs = append(specs, noSampleSpec(wl))
 		}
 		return specs
+	case "policies":
+		return s.matrix(hier.AllPolicies()...)
+	case "setsampling":
+		specs := s.samplingMatrix(1)
+		for _, k := range SamplingFactors {
+			specs = append(specs, s.samplingMatrix(k)...)
+		}
+		return specs
 	default:
 		panic(fmt.Sprintf("experiments: unknown experiment %q (valid: %s)",
-			exp, "fig1, fig3, table2, htree, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, tech22, binwidth, sampling"))
+			exp, strings.Join(experimentOrder, ", ")))
 	}
+}
+
+// matrix is the suite's benchmark set against the given policies, one
+// single-core spec per pair, benchmark-major.
+func (s *Suite) matrix(pols ...hier.PolicyKind) []RunSpec {
+	var specs []RunSpec
+	for _, wl := range s.opts.Benchmarks {
+		for _, p := range pols {
+			specs = append(specs, spec.Single(wl, p))
+		}
+	}
+	return specs
 }
 
 // SpecsForAll unions SpecsFor over several experiments, dropping duplicate

@@ -94,21 +94,26 @@ func TestSingleflightCollapsesConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestPrefetchCoversFigureRuns checks SpecsFor stays in sync with what a
-// figure actually consumes: after prefetching, producing the figure must
-// not simulate anything new.
+// TestPrefetchCoversFigureRuns checks SpecsFor stays in sync with what
+// every registered experiment actually consumes: after prefetching its
+// specs, rendering it must not simulate anything new.
 func TestPrefetchCoversFigureRuns(t *testing.T) {
-	s := NewSuite(Options{
-		Accesses: 20_000, Warmup: 20_000, Seed: 7,
-		Benchmarks: []string{"milc", "sphinx3"}, Parallelism: 4,
-	})
-	s.Prefetch(s.SpecsForAll([]string{"fig10", "fig14"}))
-	before := s.runs.Len()
-	s.Fig10()
-	s.Fig14()
-	if after := s.runs.Len(); after != before {
-		t.Errorf("figures simulated %d extra runs after prefetch (%d -> %d): SpecsFor is stale",
-			after-before, before, after)
+	for _, name := range ExperimentNames() {
+		// A fresh suite per experiment, so runs another experiment left in
+		// the memo cannot hide a gap in this one's specs.
+		s := NewSuite(Options{
+			Accesses: 5_000, Warmup: 5_000, Seed: 7,
+			Benchmarks: []string{"milc", "sphinx3"}, Parallelism: 4,
+		})
+		s.Prefetch(s.SpecsFor(name))
+		before := s.runs.Len()
+		if err := s.RunNamed(name); err != nil {
+			t.Fatal(err)
+		}
+		if after := s.runs.Len(); after != before {
+			t.Errorf("%s simulated %d extra runs after prefetch (%d -> %d): SpecsFor is stale",
+				name, after-before, before, after)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/hier"
@@ -105,43 +106,50 @@ func TestSampledRunThroughSuite(t *testing.T) {
 	}
 }
 
-// TestCalibrateSetSamplingSmoke runs the calibration harness at toy sizes
-// and checks the report shape: one entry per factor, sane speedups, finite
-// error statistics.
-func TestCalibrateSetSamplingSmoke(t *testing.T) {
-	rep, err := CalibrateSetSampling(context.Background(), Options{
+// TestSetSamplingTable renders the set-sampling calibration at toy sizes
+// and checks its shape: one entry per factor in SamplingFactors, a sampled
+// share near 1/K, finite error statistics, and a full-fidelity ground
+// truth that stays unsampled when the suite stamps a default factor.
+func TestSetSamplingTable(t *testing.T) {
+	var out strings.Builder
+	s := NewSuite(Options{
 		Accesses:   30_000,
 		Warmup:     20_000,
 		WarmupSet:  true,
 		Seed:       7,
+		Sampling:   8,
 		Benchmarks: []string{"milc", "mcf"},
-	}, []int{4})
-	if err != nil {
-		t.Fatal(err)
+		Out:        &out,
+	})
+	res := s.SetSampling()
+	if len(res.Factors) != len(SamplingFactors) {
+		t.Fatalf("Factors = %+v, want one per factor in %v", res.Factors, SamplingFactors)
 	}
-	if rep.Runs != 2*len(evalPolicies)+2 {
-		t.Errorf("Runs = %d, want %d (2 benchmarks x policies)", rep.Runs, 2*len(evalPolicies)+2)
+	for i, f := range res.Factors {
+		if f.Factor != SamplingFactors[i] {
+			t.Errorf("entry %d is factor %d, want %d", i, f.Factor, SamplingFactors[i])
+		}
+		if want := 1 / float64(f.Factor); f.SampledShare <= want/2 || f.SampledShare >= 2*want {
+			t.Errorf("1/%d: SampledShare = %v, want near %v", f.Factor, f.SampledShare, want)
+		}
+		for name, st := range map[string]SamplingErrorStat{
+			"L2MissRatio": f.L2MissRatio,
+			"L3MissRatio": f.L3MissRatio,
+			"EnergyPJ":    f.EnergyPJ,
+			"EDP":         f.EDP,
+		} {
+			if math.IsNaN(st.MeanAbsPct) || math.IsNaN(st.MaxAbsPct) ||
+				st.MeanAbsPct < 0 || st.MaxAbsPct < st.MeanAbsPct {
+				t.Errorf("1/%d %s error stat malformed: %+v", f.Factor, name, st)
+			}
+		}
+		if !strings.Contains(out.String(), fmt.Sprintf("1/%d ", f.Factor)) {
+			t.Errorf("printed table has no 1/%d row:\n%s", f.Factor, out.String())
+		}
 	}
-	if len(rep.Factors) != 1 || rep.Factors[0].Factor != 4 {
-		t.Fatalf("Factors = %+v, want exactly factor 4", rep.Factors)
-	}
-	f := rep.Factors[0]
-	if f.WallSeconds <= 0 || rep.FullWallSeconds <= 0 || f.Speedup <= 0 {
-		t.Errorf("non-positive timings: full=%v factor=%v speedup=%v",
-			rep.FullWallSeconds, f.WallSeconds, f.Speedup)
-	}
-	if f.SampledShare <= 0 || f.SampledShare >= 1 {
-		t.Errorf("SampledShare = %v, want in (0, 1)", f.SampledShare)
-	}
-	for name, st := range map[string]SamplingErrorStat{
-		"L2MissRatio": f.L2MissRatio,
-		"L3MissRatio": f.L3MissRatio,
-		"EnergyPJ":    f.EnergyPJ,
-		"EDP":         f.EDP,
-	} {
-		if math.IsNaN(st.MeanAbsPct) || math.IsNaN(st.MaxAbsPct) ||
-			st.MeanAbsPct < 0 || st.MaxAbsPct < st.MeanAbsPct {
-			t.Errorf("%s error stat malformed: %+v", name, st)
+	for _, sp := range s.samplingMatrix(1) {
+		if sys := s.RunS(sp); sys.SkippedAccesses != 0 {
+			t.Errorf("%s: full-fidelity ground truth skipped %d accesses", sp.Label(), sys.SkippedAccesses)
 		}
 	}
 }

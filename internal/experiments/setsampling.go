@@ -1,53 +1,42 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/hier"
-	"repro/internal/spec"
+	"repro/internal/stats"
 )
 
-// SamplingFactors are the default set-sampling calibration points: the
-// sampled passes CalibrateSetSampling compares against full fidelity.
+// SamplingFactors are the set-sampling calibration points: the sampled
+// copies of the fig9 matrix the setsampling experiment compares against
+// full fidelity.
 var SamplingFactors = []int{2, 4, 8, 16}
 
 // SamplingErrorStat summarizes the relative error of one extrapolated
 // metric over the run matrix, in percent.
 type SamplingErrorStat struct {
-	MeanAbsPct float64 `json:"mean_abs_pct"`
-	MaxAbsPct  float64 `json:"max_abs_pct"`
+	MeanAbsPct float64
+	MaxAbsPct  float64
 }
 
 // SamplingFactorResult is the calibration outcome of one sampling factor:
-// wall-clock speedup over the full-fidelity pass and the extrapolation
-// error of each headline metric across the matrix.
+// the extrapolation error of each headline metric across the matrix.
 type SamplingFactorResult struct {
-	Factor      int     `json:"factor"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Speedup     float64 `json:"speedup"`
+	Factor int
 	// SampledShare is the mean fraction of accesses actually simulated
 	// (~1/Factor by construction).
-	SampledShare float64           `json:"sampled_share"`
-	L2MissRatio  SamplingErrorStat `json:"l2_miss_ratio"`
-	L3MissRatio  SamplingErrorStat `json:"l3_miss_ratio"`
-	EnergyPJ     SamplingErrorStat `json:"energy_pj"`
-	EDP          SamplingErrorStat `json:"edp"`
+	SampledShare float64
+	L2MissRatio  SamplingErrorStat
+	L3MissRatio  SamplingErrorStat
+	EnergyPJ     SamplingErrorStat
+	EDP          SamplingErrorStat
 }
 
-// SamplingReport is the full calibration artifact (BENCH_sampling.json):
-// the fig9 matrix run at full fidelity and at each sampling factor, with
-// speedup and per-metric extrapolation error.
-type SamplingReport struct {
-	Benchmarks      []string               `json:"benchmarks"`
-	Policies        []string               `json:"policies"`
-	Runs            int                    `json:"runs"`
-	Accesses        uint64                 `json:"accesses"`
-	Warmup          uint64                 `json:"warmup"`
-	Seed            uint64                 `json:"seed"`
-	FullWallSeconds float64                `json:"full_wall_seconds"`
-	Factors         []SamplingFactorResult `json:"factors"`
+// SetSamplingResult is the set-sampling accuracy calibration, one entry
+// per factor of SamplingFactors.
+type SetSamplingResult struct {
+	Factors []SamplingFactorResult
 }
 
 // sampleRunMetrics are the per-run observables calibration compares. Miss
@@ -118,118 +107,56 @@ func (e *SamplingErrorStat) observe(got, want float64) {
 	}
 }
 
-func (e *SamplingErrorStat) finish(n int) {
-	if n > 0 {
-		e.MeanAbsPct /= float64(n)
+func (e *SamplingErrorStat) finish(n int) { e.MeanAbsPct /= float64(n) }
+
+// samplingMatrix is the fig9 matrix (every benchmark against baseline and
+// the evaluated policies) pinned to sampling factor k. k = 1 is explicit
+// full fidelity, so the ground truth stays unsampled even when the suite
+// stamps a default factor into every other run.
+func (s *Suite) samplingMatrix(k int) []RunSpec {
+	specs := s.matrix(append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)...)
+	for i := range specs {
+		specs[i].Sampling = k
 	}
+	return specs
 }
 
-// CalibrateSetSampling runs the fig9 matrix (every configured benchmark
-// against baseline + the four evaluated policies) at full fidelity and at
-// each of the given sampling factors, and reports wall-clock speedup plus
-// the extrapolation error of per-level miss ratios, full-system energy and
-// EDP. All passes share one trace materialization cache, pre-warmed before
-// any pass is timed, so the comparison measures simulation cost, not trace
-// generation; the warm-state cache is disabled because no two matrix runs
-// share a warmup identity.
-func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*SamplingReport, error) {
-	opts.WarmCache, opts.WarmCacheBytes = nil, -1
-	if opts.TraceCache == nil && opts.TraceCacheBytes == 0 {
-		// Size the shared budget to keep every pre-warmed stream resident
-		// for the whole calibration: an evicted trace would be regenerated
-		// silently inside a timed pass, polluting the speedup the pass is
-		// supposed to measure. 4 bytes/access upper-bounds the varint
-		// encoding (~3.4 observed across the fig9 workloads).
-		sized := opts
-		sized.normalize()
-		need := int64(sized.Accesses+sized.Warmup) * 4 * int64(len(sized.Benchmarks))
-		if need > DefaultTraceCacheBytes {
-			opts.TraceCacheBytes = need
+// SetSampling calibrates set sampling: the fig9 matrix at each factor of
+// SamplingFactors against the same matrix at full fidelity, reporting the
+// mean and max absolute extrapolation error of per-level miss ratios,
+// full-system energy and EDP, and the share of accesses simulated. Its
+// wall-clock counterpart is BenchmarkSetSampling.
+func (s *Suite) SetSampling() SetSamplingResult {
+	var res SetSamplingResult
+	tb := stats.NewTable("Set sampling: extrapolation error vs full fidelity over the fig9 matrix (mean / max abs %)",
+		"factor", "sampled", "L2 miss ratio", "L3 miss ratio", "energy", "EDP")
+	var full []sampleRunMetrics
+	for _, sp := range s.samplingMatrix(1) {
+		full = append(full, metricsOf(s.RunS(sp)))
+	}
+	for _, k := range SamplingFactors {
+		fr := SamplingFactorResult{Factor: k}
+		for i, sp := range s.samplingMatrix(k) {
+			got := metricsOf(s.RunS(sp))
+			fr.L2MissRatio.observe(got.l2MissRatio, full[i].l2MissRatio)
+			fr.L3MissRatio.observe(got.l3MissRatio, full[i].l3MissRatio)
+			fr.EnergyPJ.observe(got.energyPJ, full[i].energyPJ)
+			fr.EDP.observe(got.edp, full[i].edp)
+			fr.SampledShare += got.sampledShare
 		}
-	}
-	opts.normalize()
-	if len(factors) == 0 {
-		factors = SamplingFactors
-	}
-	pols := append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)
-
-	rep := &SamplingReport{
-		Benchmarks: opts.Benchmarks,
-		Accesses:   opts.Accesses,
-		Warmup:     opts.Warmup,
-		Seed:       opts.Seed,
-		Runs:       len(opts.Benchmarks) * len(pols),
-	}
-	for _, p := range pols {
-		rep.Policies = append(rep.Policies, p.String())
-	}
-
-	// Pre-warm the shared trace cache (one materialized stream per
-	// workload; the key is sampling-independent, so every pass replays the
-	// same buffers).
-	warmer := NewSuite(opts)
-	for _, wl := range opts.Benchmarks {
-		_ = warmer.source(wl, opts.Seed, opts.Warmup+opts.Accesses)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	pass := func(k int) ([]sampleRunMetrics, float64, error) {
-		su := NewSuite(opts)
-		var specs []RunSpec
-		for _, wl := range opts.Benchmarks {
-			for _, p := range pols {
-				sp := spec.Single(wl, p)
-				if k > 1 {
-					sp.Sampling = k
-				}
-				specs = append(specs, sp)
-			}
-		}
-		start := time.Now()
-		if err := su.PrefetchContext(ctx, specs); err != nil {
-			return nil, 0, err
-		}
-		wall := time.Since(start).Seconds()
-		out := make([]sampleRunMetrics, len(specs))
-		for i, sp := range specs {
-			out[i] = metricsOf(su.RunS(sp))
-		}
-		return out, wall, nil
-	}
-
-	full, fullWall, err := pass(1)
-	if err != nil {
-		return nil, err
-	}
-	rep.FullWallSeconds = fullWall
-
-	for _, k := range factors {
-		got, wall, err := pass(k)
-		if err != nil {
-			return nil, err
-		}
-		fr := SamplingFactorResult{Factor: k, WallSeconds: wall}
-		if wall > 0 {
-			fr.Speedup = fullWall / wall
-		}
-		for i := range got {
-			fr.L2MissRatio.observe(got[i].l2MissRatio, full[i].l2MissRatio)
-			fr.L3MissRatio.observe(got[i].l3MissRatio, full[i].l3MissRatio)
-			fr.EnergyPJ.observe(got[i].energyPJ, full[i].energyPJ)
-			fr.EDP.observe(got[i].edp, full[i].edp)
-			fr.SampledShare += got[i].sampledShare
-		}
-		n := len(got)
+		n := len(full)
 		fr.L2MissRatio.finish(n)
 		fr.L3MissRatio.finish(n)
 		fr.EnergyPJ.finish(n)
 		fr.EDP.finish(n)
-		if n > 0 {
-			fr.SampledShare /= float64(n)
+		fr.SampledShare /= float64(n)
+		res.Factors = append(res.Factors, fr)
+		cell := func(e SamplingErrorStat) string {
+			return fmt.Sprintf("%.2f%% / %.2f%%", e.MeanAbsPct, e.MaxAbsPct)
 		}
-		rep.Factors = append(rep.Factors, fr)
+		tb.AddRow(fmt.Sprintf("1/%d", k), fmt.Sprintf("%.3f", fr.SampledShare),
+			cell(fr.L2MissRatio), cell(fr.L3MissRatio), cell(fr.EnergyPJ), cell(fr.EDP))
 	}
-	return rep, nil
+	s.printf("%s\n", tb.String())
+	return res
 }

@@ -352,8 +352,3 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 	}
 	return sys, nil
 }
-
-// Sharded reports whether the last scheduling decision would shard — i.e.
-// whether runs submitted now, with the pool in its current state, use the
-// intra-run executor. The daemon reads it to count sharded jobs.
-func (s *Suite) Sharded() bool { return s.shardsFor() > 1 }

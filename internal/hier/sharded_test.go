@@ -284,7 +284,9 @@ func BenchmarkShardedAccess(b *testing.B) {
 }
 
 // BenchmarkShardedRun measures end-to-end wall clock of RunSharded at
-// various shard counts on one trace — the number BENCH_intra.json reports.
+// various shard counts on one trace; S=1 is the sequential baseline the
+// sharding speedup is read against (perfbench's hier.shard2_speedup is the
+// same ratio at S=2 on a replayed fig9-scale trace).
 func BenchmarkShardedRun(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) {

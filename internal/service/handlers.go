@@ -92,7 +92,14 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 
 	// Identical effective requests are answered straight from the LRU
 	// result store — the cache-hit counter in /metrics observes this.
-	if res, ok := s.store.Get(key); ok {
+	// submit looks again after a pending miss, catching a job that
+	// finished since this lookup.
+	res, ok := s.store.Get(key)
+	var j *Job
+	if !ok {
+		j, res, err = s.submit(req, c, key)
+	}
+	if res != nil {
 		s.metrics.CacheHit()
 		writeJSON(w, http.StatusOK, JobView{
 			State:    StateCompleted,
@@ -105,8 +112,6 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.CacheMiss()
-
-	j, err := s.submit(req, c, key)
 	switch {
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, "server is draining")

@@ -268,18 +268,25 @@ func newJobID() string {
 
 // submit admits a request that missed the result store. It returns the
 // job to poll — either a freshly queued one or an existing job for the
-// same key (service-level singleflight) — or an admission error.
+// same key (service-level singleflight) — or an admission error. On a
+// pending miss it looks in the store again and returns the result found
+// there: finishJob stores a result before its job leaves pending, so a job
+// that finished after the caller's own lookup is never simulated twice.
 var errQueueFull = errors.New("queue full")
 var errDraining = errors.New("server draining")
 
-func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, error) {
+func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, *RunResult, error) {
 	if s.draining.Load() {
-		return nil, errDraining
+		return nil, nil, errDraining
 	}
 	s.mu.Lock()
 	if j, ok := s.pending[key]; ok {
 		s.mu.Unlock()
-		return j, nil
+		return j, nil, nil
+	}
+	if res, ok := s.store.Get(key); ok {
+		s.mu.Unlock()
+		return nil, res, nil
 	}
 	j := &Job{
 		ID:      newJobID(),
@@ -300,12 +307,12 @@ func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, error) {
 		delete(s.pending, key)
 		s.mu.Unlock()
 		if s.draining.Load() {
-			return nil, errDraining
+			return nil, nil, errDraining
 		}
-		return nil, errQueueFull
+		return nil, nil, errQueueFull
 	}
 	s.metrics.JobSubmitted()
-	return j, nil
+	return j, nil, nil
 }
 
 // job looks up a job by id.
@@ -406,9 +413,14 @@ func (s *Server) runJob(j *Job) {
 	s.finishJob(j, resultFrom(sys, j.Spec, time.Since(j.Started)), nil)
 }
 
-// finishJob records a terminal state, publishes the result, and updates
-// metrics.
+// finishJob stores the result, then records the terminal state, and
+// updates metrics. Storing first means a client that sees "completed" (or
+// misses the pending map) finds the result in the store, never a gap in
+// which a repeat request would simulate again.
 func (s *Server) finishJob(j *Job, res *RunResult, err error) {
+	if err == nil {
+		s.store.Put(j.Key, res)
+	}
 	s.mu.Lock()
 	j.Finished = time.Now()
 	switch {
@@ -426,7 +438,6 @@ func (s *Server) finishJob(j *Job, res *RunResult, err error) {
 	s.mu.Unlock()
 
 	if err == nil {
-		s.store.Put(j.Key, res)
 		if j.Spec.Sampling > 1 {
 			s.metrics.SampledRun()
 		}

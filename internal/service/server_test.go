@@ -194,6 +194,50 @@ func TestPendingDeduplication(t *testing.T) {
 	}
 }
 
+// TestRepeatAfterCompletedIsCached repeats each request the moment its
+// job reads completed: the result must already be in the store, so every
+// repeat is answered "cached" without queueing a new job.
+func TestRepeatAfterCompletedIsCached(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 2, QueueDepth: 8}, nil)
+	const n = 40
+	for seed := 1; seed <= n; seed++ {
+		body := fmt.Sprintf(`{"workload":"milc","policy":"baseline","accesses":2000,"warmup":0,"seed":%d}`, seed)
+		code, v, _ := postRun(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("seed %d: POST = %d, want 202", seed, code)
+		}
+		for {
+			resp, err := http.Get(ts.URL + "/v1/runs/" + v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st JobView
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == StateCompleted {
+				break
+			}
+			if st.State != StateQueued && st.State != StateRunning {
+				t.Fatalf("seed %d: job finished %s (%s)", seed, st.State, st.Error)
+			}
+		}
+		code, again, _ := postRun(t, ts, body)
+		if code != http.StatusOK || !again.Cached || again.ID != "" {
+			t.Fatalf("seed %d: repeat POST = %d cached=%v id=%q, want 200 cached with no job",
+				seed, code, again.Cached, again.ID)
+		}
+	}
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != n {
+		t.Errorf("%d jobs created for %d distinct requests", jobs, n)
+	}
+}
+
 // TestDeadlineReportsCancelled: a job whose deadline expires mid-trace
 // must finish in state cancelled, never completed.
 func TestDeadlineReportsCancelled(t *testing.T) {
