@@ -3,10 +3,11 @@ package gateway
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -77,11 +78,61 @@ func lintExposition(t *testing.T, text string) map[string]string {
 	return types
 }
 
+// exposition is every family of both /metrics endpoints with its type,
+// sorted by name: a rename, retype, addition or removal fails the test.
+var exposition = map[string][]string{
+	"slipd": {
+		"slip_castore_bytes gauge",
+		"slip_castore_entries gauge",
+		"slip_castore_errors_total counter",
+		"slip_castore_evictions_total counter",
+		"slip_castore_hits_total counter",
+		"slip_castore_misses_total counter",
+		"slip_sampled_runs_total counter",
+		"slip_shard_runs_total counter",
+		"slip_trace_cache_bytes gauge",
+		"slip_trace_cache_evictions_total counter",
+		"slip_trace_cache_hits_total counter",
+		"slip_trace_cache_misses_total counter",
+		"slip_warm_cache_bytes gauge",
+		"slip_warm_cache_evictions_total counter",
+		"slip_warm_cache_hits_total counter",
+		"slip_warm_cache_misses_total counter",
+		"slipd_jobs_queued gauge",
+		"slipd_jobs_running gauge",
+		"slipd_jobs_submitted_total counter",
+		"slipd_jobs_total counter",
+		"slipd_queue_capacity gauge",
+		"slipd_queue_depth gauge",
+		"slipd_result_cache_capacity gauge",
+		"slipd_result_cache_evictions_total counter",
+		"slipd_result_cache_hit_ratio gauge",
+		"slipd_result_cache_hits_total counter",
+		"slipd_result_cache_misses_total counter",
+		"slipd_result_cache_size gauge",
+		"slipd_run_seconds histogram",
+		"slipd_sim_accesses_per_sec gauge",
+		"slipd_sim_accesses_total counter",
+	},
+	"gateway": {
+		"slipgw_backend_draining gauge",
+		"slipgw_backend_request_seconds_total counter",
+		"slipgw_backend_up gauge",
+		"slipgw_ejections_total counter",
+		"slipgw_errors_total counter",
+		"slipgw_no_backend_total counter",
+		"slipgw_request_seconds histogram",
+		"slipgw_requests_total counter",
+		"slipgw_retries_total counter",
+		"slipgw_routes gauge",
+	},
+}
+
 // TestMetricsExposition lints both /metrics endpoints of a live one-backend
 // cluster — a real slipd behind the gateway — after one run has gone
-// through it, so every labelled family and histogram carries samples. The
-// gateway package imports the service package, so this one test covers
-// both expositions. The cache and castore families must be typed counters.
+// through it, so every labelled family and histogram carries samples, and
+// checks each endpoint's family inventory. The gateway package imports the
+// service package, so this one test covers both expositions.
 func TestMetricsExposition(t *testing.T) {
 	srv := service.New(service.Config{Workers: 1})
 	srv.Start()
@@ -114,38 +165,28 @@ func TestMetricsExposition(t *testing.T) {
 		return json.NewDecoder(r.Body).Decode(&v) == nil && v.State == service.StateCompleted
 	})
 
-	scrape := func(base string) string {
-		r, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		b, _ := io.ReadAll(r.Body)
-		return string(b)
-	}
-	t.Run("slipd", func(t *testing.T) {
-		types := lintExposition(t, scrape(backend.URL))
-		for _, cache := range []string{"trace_cache", "warm_cache"} {
-			for _, c := range []string{"hits", "misses", "evictions"} {
-				wantType(t, types, fmt.Sprintf("slip_%s_%s_total", cache, c), "counter")
+	for name, base := range map[string]string{"slipd": backend.URL, "gateway": gw.URL} {
+		t.Run(name, func(t *testing.T) {
+			r, err := http.Get(base + "/metrics")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, c := range []string{"hits", "misses", "errors", "evictions"} {
-			wantType(t, types, "slip_castore_"+c+"_total", "counter")
-		}
-		wantType(t, types, "slipd_run_seconds", "histogram")
-	})
-	t.Run("gateway", func(t *testing.T) {
-		types := lintExposition(t, scrape(gw.URL))
-		wantType(t, types, "slipgw_request_seconds", "histogram")
-		wantType(t, types, "slipgw_backend_request_seconds_total", "counter")
-	})
-}
+			defer r.Body.Close()
+			text, _ := io.ReadAll(r.Body)
+			var got []string
+			for family, typ := range lintExposition(t, string(text)) {
+				got = append(got, family+" "+typ)
+			}
+			sort.Strings(got)
+			if want := exposition[name]; !slices.Equal(got, want) {
+				t.Errorf("%d families, want %d\ngot:  %q\nwant: %q", len(got), len(want), got, want)
+			}
+		})
+	}
 
-// wantType fails unless family is declared with the given type.
-func wantType(t *testing.T, types map[string]string, family, typ string) {
-	t.Helper()
-	if got := types[family]; got != typ {
-		t.Errorf("family %s has type %q, want %q", family, got, typ)
+	// The admin listing reads per-backend counters; an address outside the
+	// configured set reads as zeros.
+	if snap := g.snapshot("http://127.0.0.1:1"); snap != (BackendSnapshot{}) {
+		t.Errorf("snapshot of an unknown backend = %+v, want zeros", snap)
 	}
 }

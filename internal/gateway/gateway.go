@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/lru"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -110,8 +111,8 @@ func (c *Config) fill() {
 	}
 }
 
-// backend is one slipd node's gateway-side state; all fields are guarded
-// by the gateway mutex.
+// backend is one slipd node's gateway-side state. The counters are
+// atomic; the other fields are guarded by the gateway mutex.
 type backend struct {
 	addr string // canonical base URL, e.g. "http://127.0.0.1:8081"
 
@@ -119,20 +120,31 @@ type backend struct {
 	draining bool // administratively removed from new-key routing
 	fails    int  // consecutive failed probes
 	rises    int  // consecutive successful probes while not ready
+
+	requests  metrics.Counter // proxied requests answered by this backend
+	errors    metrics.Counter // transport failures and 5xx answers
+	retries   metrics.Counter // requests retried away from this backend
+	ejections metrics.Counter // healthy -> unhealthy transitions
+	latSum    metrics.Counter // summed latency of the answered requests
 }
 
 // Gateway is the sharding reverse proxy. Build with New, serve Handler,
 // stop with Shutdown.
 type Gateway struct {
-	cfg     Config
-	client  *http.Client
-	metrics *Metrics
+	cfg    Config
+	client *http.Client
+
+	noBackend metrics.Counter    // requests refused: no ready backend
+	latency   *metrics.Histogram // proxied request latency, all backends
+
 	// routes maps job id -> backend address, populated from POST
 	// responses so GET /v1/runs/{id} lands on the backend that owns the
 	// job. Ids evicted (or minted before a gateway restart) fall back to
 	// the scan path in handleGetRun.
 	routes *lru.Cache[string]
 
+	// backends and order are fixed by New, so reading them (not a
+	// backend's guarded fields) needs no lock.
 	mu       sync.Mutex
 	backends map[string]*backend
 	order    []string // stable listing for admin/metrics
@@ -163,7 +175,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:      cfg,
 		client:   cfg.Client,
-		metrics:  newMetrics(),
+		latency:  metrics.NewHistogram(proxyLatencyBuckets...),
 		routes:   lru.New[string](int64(cfg.RouteTableCap), nil),
 		backends: make(map[string]*backend),
 		ctx:      ctx,
@@ -187,9 +199,6 @@ func New(cfg Config) (*Gateway, error) {
 	sort.Strings(g.order)
 	return g, nil
 }
-
-// Metrics exposes the registry (tests assert on counters directly).
-func (g *Gateway) Metrics() *Metrics { return g.metrics }
 
 // Start launches the health-check loop.
 func (g *Gateway) Start() {
@@ -259,7 +268,7 @@ func (g *Gateway) probeAll() {
 		b.fails++
 		if b.ready && b.fails >= g.cfg.FailThreshold {
 			b.ready = false
-			g.metrics.Ejection(addr)
+			b.ejections.Inc()
 			g.cfg.Log.Printf("backend %s ejected after %d failed probes", addr, b.fails)
 		}
 	}
@@ -323,8 +332,7 @@ func (g *Gateway) setDraining(addr string, draining bool) error {
 	return nil
 }
 
-// stateSnapshot captures per-backend state for /readyz, /metrics and the
-// admin listing.
+// stateSnapshot captures per-backend state for the admin listing.
 func (g *Gateway) stateSnapshot() (up, draining map[string]bool, order []string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -276,7 +276,7 @@ func TestFailoverToNextPreferred(t *testing.T) {
 	if served := resp.Header.Get(backendHeader); served != ranked[1] {
 		t.Fatalf("failover served by %s, want next-preferred %s", served, ranked[1])
 	}
-	snap := g.Metrics().Snapshot(ranked[0])
+	snap := g.snapshot(ranked[0])
 	if snap.Errors == 0 || snap.Retries == 0 {
 		t.Fatalf("abandoned backend counters = %+v, want errors and retries > 0", snap)
 	}
@@ -295,7 +295,7 @@ func TestHealthEjectionAndRestore(t *testing.T) {
 		up, _, _ := g.stateSnapshot()
 		return !up[sick.ts.URL]
 	})
-	if n := g.Metrics().Snapshot(sick.ts.URL).Ejections; n != 1 {
+	if n := g.snapshot(sick.ts.URL).Ejections; n != 1 {
 		t.Fatalf("ejections = %d, want 1", n)
 	}
 

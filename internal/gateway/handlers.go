@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -33,30 +34,18 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/policies", g.handlePolicies)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
+	mux.HandleFunc("GET /metrics", metrics.Handler(gatewayFamilies, g))
 	mux.HandleFunc("GET /admin/backends", g.handleAdminList)
 	mux.HandleFunc("POST /admin/backends/{addr}/drain", g.adminDrain(true))
 	mux.HandleFunc("POST /admin/backends/{addr}/undrain", g.adminDrain(false))
 	return mux
 }
 
-// writeJSON / writeError mirror the slipd error envelope so clients see
-// one wire format whether they talk to a node or the gateway.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // handlePolicies answers locally: the registry is compiled into every
 // binary of the cluster, so the gateway is as authoritative as any
 // backend and the answer stays available with zero healthy nodes.
 func (g *Gateway) handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, service.Policies())
+	service.WriteJSON(w, http.StatusOK, service.Policies())
 }
 
 // backendHeader names the answering backend on every proxied response, so
@@ -88,22 +77,26 @@ func (g *Gateway) proxyOnce(r *http.Request, addr, method, path string, body []b
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	b := g.backends[addr]
 	start := time.Now()
 	resp, err := g.client.Do(req)
 	if err != nil {
-		g.metrics.Error(addr)
+		b.errors.Inc()
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		g.metrics.Error(addr)
+		b.errors.Inc()
 		return 0, nil, nil, err
 	}
 	if resp.StatusCode >= 500 {
-		g.metrics.Error(addr)
+		b.errors.Inc()
 	}
-	g.metrics.Request(addr, time.Since(start).Seconds())
+	secs := time.Since(start).Seconds()
+	b.requests.Inc()
+	b.latSum.Add(secs)
+	g.latency.Observe(secs)
 	return resp.StatusCode, resp.Header, respBody, nil
 }
 
@@ -129,8 +122,8 @@ func relay(w http.ResponseWriter, addr, key string, status int, hdr http.Header,
 // response (or a 502) reaches the client.
 func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, key string, cands []string, method, path string, body []byte, onSuccess func(addr string, status int, respBody []byte)) {
 	if len(cands) == 0 {
-		g.metrics.NoBackend()
-		writeError(w, http.StatusServiceUnavailable, "no ready backend")
+		g.noBackend.Inc()
+		service.WriteError(w, http.StatusServiceUnavailable, "no ready backend")
 		return
 	}
 	attempts := len(cands)
@@ -140,11 +133,11 @@ func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, key 
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			g.metrics.Retry(cands[i-1])
+			g.backends[cands[i-1]].retries.Inc()
 			select {
 			case <-time.After(g.cfg.RetryBackoff * time.Duration(i)):
 			case <-r.Context().Done():
-				writeError(w, http.StatusGatewayTimeout, "client gave up during failover: %v", r.Context().Err())
+				service.WriteError(w, http.StatusGatewayTimeout, "client gave up during failover: %v", r.Context().Err())
 				return
 			}
 		}
@@ -165,7 +158,7 @@ func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, key 
 		}
 		return
 	}
-	writeError(w, http.StatusBadGateway, "all %d candidate backends failed (last: %v)", attempts, lastErr)
+	service.WriteError(w, http.StatusBadGateway, "all %d candidate backends failed (last: %v)", attempts, lastErr)
 }
 
 // handlePostRun shards a run submission by its canonical spec hash. The
@@ -176,16 +169,16 @@ func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, key 
 func (g *Gateway) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if int64(len(body)) > g.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", g.cfg.MaxBodyBytes)
+		service.WriteError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", g.cfg.MaxBodyBytes)
 		return
 	}
 	key, err := g.keyOf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	g.proxyWithFailover(w, r, key, g.candidates(key), http.MethodPost, "/v1/runs", body,
@@ -234,8 +227,7 @@ func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		}
 		g.cfg.Log.Printf("GET /v1/runs/%s via routed %s: %v", id, addr, err)
 	}
-	_, _, order := g.stateSnapshot()
-	for _, addr := range order {
+	for _, addr := range g.order {
 		status, hdr, body, err := g.proxyOnce(r, addr, http.MethodGet, "/v1/runs/"+id, nil)
 		if err != nil || status == http.StatusNotFound {
 			continue
@@ -244,7 +236,7 @@ func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		relay(w, addr, "", status, hdr, body)
 		return
 	}
-	writeError(w, http.StatusNotFound, "no backend knows job %q", id)
+	service.WriteError(w, http.StatusNotFound, "no backend knows job %q", id)
 }
 
 // handleGetResult shards a key fetch to the key's home backend. A 404
@@ -254,8 +246,8 @@ func (g *Gateway) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	cands := g.candidates(key)
 	if len(cands) == 0 {
-		g.metrics.NoBackend()
-		writeError(w, http.StatusServiceUnavailable, "no ready backend")
+		g.noBackend.Inc()
+		service.WriteError(w, http.StatusServiceUnavailable, "no ready backend")
 		return
 	}
 	var last struct {
@@ -279,7 +271,7 @@ func (g *Gateway) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		relay(w, last.addr, key, last.status, last.hdr, last.body)
 		return
 	}
-	writeError(w, http.StatusBadGateway, "no backend reachable for key %q", key)
+	service.WriteError(w, http.StatusBadGateway, "no backend reachable for key %q", key)
 }
 
 // handleExperiment shards a named experiment render by its name, so each
@@ -305,13 +297,6 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetrics renders the gateway registry.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	up, draining, _ := g.stateSnapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.metrics.WriteTo(w, gwGauges{up: up, draining: draining, routes: g.routes.Len()})
-}
-
 // BackendView is one backend's admin listing entry.
 type BackendView struct {
 	Addr     string `json:"addr"`
@@ -329,10 +314,10 @@ func (g *Gateway) handleAdminList(w http.ResponseWriter, _ *http.Request) {
 			Addr:            addr,
 			Ready:           up[addr],
 			Draining:        draining[addr],
-			BackendSnapshot: g.metrics.Snapshot(addr),
+			BackendSnapshot: g.snapshot(addr),
 		})
 	}
-	writeJSON(w, http.StatusOK, views)
+	service.WriteJSON(w, http.StatusOK, views)
 }
 
 // adminDrain flips one backend's drain flag. Draining re-routes new keys
@@ -343,9 +328,9 @@ func (g *Gateway) adminDrain(draining bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		addr := r.PathValue("addr")
 		if err := g.setDraining(addr, draining); err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
+			service.WriteError(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"backend": CanonicalAddr(addr), "draining": draining})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"backend": CanonicalAddr(addr), "draining": draining})
 	}
 }

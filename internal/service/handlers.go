@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 )
 
@@ -32,12 +33,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/policies", handlePolicies)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", metrics.Handler(slipdFamilies, s))
 	return mux
 }
 
-// writeJSON sends v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON sends v with the given status. slipd and the gateway answer
+// through it and WriteError, so clients see one wire format whether they
+// talk to a node or the gateway.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
@@ -48,9 +51,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError sends an error envelope.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError sends an error envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // MaxBodyBytes bounds a POST /v1/runs body. A run request is a few
@@ -73,20 +76,20 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.Workload == "" || req.Policy == "" {
-		writeError(w, http.StatusBadRequest, "workload and policy are required")
+		WriteError(w, http.StatusBadRequest, "workload and policy are required")
 		return
 	}
 	req.normalize(s.cfg)
 	c, key, err := specOf(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -100,8 +103,8 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		j, res, err = s.submit(req, c, key)
 	}
 	if res != nil {
-		s.metrics.CacheHit()
-		writeJSON(w, http.StatusOK, JobView{
+		s.metrics.cacheHits.Inc()
+		WriteJSON(w, http.StatusOK, JobView{
 			State:    StateCompleted,
 			Key:      key,
 			Cached:   true,
@@ -111,27 +114,27 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.metrics.CacheMiss()
+	s.metrics.cacheMisses.Inc()
 	switch {
 	case errors.Is(err, errDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	case errors.Is(err, errQueueFull):
 		// Backpressure: tell the client when to come back. One mean job
 		// latency per queued slot ahead of it would be exact; a flat hint
 		// keeps the contract simple.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue full (%d waiting)", s.queue.Depth())
+		WriteError(w, http.StatusTooManyRequests, "job queue full (%d waiting)", s.queue.Depth())
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 
 	s.mu.Lock()
 	view := j.view()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, view)
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
 // handleGetRun reports a job's state and, when finished, its result.
@@ -139,13 +142,13 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	s.mu.Lock()
 	view := j.view()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handleExperiment reproduces one paper experiment over HTTP: the runs it
@@ -155,17 +158,17 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !experiments.ValidExperiment(name) {
-		writeError(w, http.StatusNotFound, "unknown experiment %q (valid: %v)", name, experiments.ExperimentNames())
+		WriteError(w, http.StatusNotFound, "unknown experiment %q (valid: %v)", name, experiments.ExperimentNames())
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
 	defer cancel()
 	if err := s.expSuite.PrefetchContext(ctx, s.expSuite.SpecsFor(name)); err != nil {
-		writeError(w, http.StatusGatewayTimeout, "experiment %q timed out or was cancelled: %v", name, err)
+		WriteError(w, http.StatusGatewayTimeout, "experiment %q timed out or was cancelled: %v", name, err)
 		return
 	}
 
@@ -179,7 +182,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	err := s.expSuite.RunNamed(name)
 	s.expOut.set(nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -228,7 +231,7 @@ func Policies() PolicyList {
 // metadata. It needs no server state — the registry is process-global and
 // immutable after init.
 func handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Policies())
+	WriteJSON(w, http.StatusOK, Policies())
 }
 
 // handleGetResult serves a stored result by its canonical spec hash —
@@ -239,10 +242,10 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	res, ok := s.store.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no stored result for key %q", key)
+		WriteError(w, http.StatusNotFound, "no stored result for key %q", key)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // handleHealthz is the liveness probe: 200 for as long as the process
@@ -263,21 +266,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ready")
-}
-
-// handleMetrics renders the Prometheus registry with live gauges.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteTo(w, Gauges{
-		QueueDepth:    s.queue.Depth,
-		QueueCap:      s.queue.Cap,
-		JobsQueued:    s.queuedCount,
-		JobsRunning:   func() int { return int(s.running.Load()) },
-		StoreLen:      s.store.Len,
-		StoreEvicted:  s.store.Evictions,
-		StoreCapacity: func() int { return s.cfg.StoreCap },
-		TraceCache:    s.TraceCacheStats,
-		WarmCache:     s.WarmCacheStats,
-		CAS:           s.store.DiskStats,
-	})
 }

@@ -192,11 +192,11 @@ func TestResultsSurviveRestart(t *testing.T) {
 	if v2.Key != key {
 		t.Fatalf("key changed across restart: %s vs %s", v2.Key, key)
 	}
-	if ds := srv2.Store().DiskStats(); ds.Hits == 0 {
+	if ds := srv2.store.DiskStats(); ds.Hits == 0 {
 		t.Fatalf("disk stats show no hit: %+v", ds)
 	}
 	// Nothing was ever enqueued on the second daemon.
-	if n := srv2.Metrics().CacheHits(); n == 0 {
+	if n := srv2.metrics.cacheHits.Value(); n == 0 {
 		t.Error("repeat POST not counted as a result-store hit")
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/spec"
 )
 
@@ -119,7 +120,7 @@ type Server struct {
 	cfg     Config
 	queue   *Queue
 	store   *Store
-	metrics *Metrics
+	metrics Metrics
 
 	// expSuite serves /v1/experiments with the server's default sizing;
 	// its memo cache is bounded by the finite experiment matrix.
@@ -177,7 +178,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		queue:   NewQueue(cfg.QueueDepth),
 		store:   NewStoreWithDisk(cfg.StoreCap, cfg.DiskStore),
-		metrics: NewMetrics(),
+		metrics: Metrics{run: metrics.NewHistogram(runLatencyBuckets...)},
 		expSuite: experiments.NewSuite(experiments.Options{
 			Accesses:         cfg.DefaultAccesses,
 			Warmup:           warmup,
@@ -201,12 +202,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Metrics exposes the registry (tests assert on counters directly).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Store exposes the result store.
-func (s *Server) Store() *Store { return s.store }
 
 // TraceCacheStats snapshots the shared trace materialization cache; all
 // zeros when the cache is disabled.
@@ -253,9 +248,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // newJobID returns a 16-hex-digit random id.
 func newJobID() string {
@@ -311,7 +303,7 @@ func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, *RunResu
 		}
 		return nil, nil, errQueueFull
 	}
-	s.metrics.JobSubmitted()
+	s.metrics.jobsSubmitted.Inc()
 	return j, nil, nil
 }
 
@@ -399,7 +391,7 @@ func (s *Server) runJob(j *Job) {
 			j.progress.Store(done)
 			// One worker goroutine drives the whole job, so the delta
 			// accounting needs no synchronization of its own.
-			s.metrics.AddAccesses(done - lastReported)
+			s.metrics.accesses.Add(float64(done - lastReported))
 			lastReported = done
 		},
 	})
@@ -439,10 +431,10 @@ func (s *Server) finishJob(j *Job, res *RunResult, err error) {
 
 	if err == nil {
 		if j.Spec.Sampling > 1 {
-			s.metrics.SampledRun()
+			s.metrics.sampledRuns.Inc()
 		}
 		if j.sharded {
-			s.metrics.ShardRun()
+			s.metrics.shardRuns.Inc()
 		}
 	}
 	s.metrics.JobFinished(j.State, j.Finished.Sub(j.Started).Seconds())

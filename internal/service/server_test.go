@@ -111,8 +111,8 @@ func TestEndToEndRunAndResultCache(t *testing.T) {
 	if v2.Result == nil || v2.Result.FullSystemPJ != res.FullSystemPJ {
 		t.Errorf("cached result differs: %+v vs %+v", v2.Result, res)
 	}
-	if hits := srv.Metrics().CacheHits(); hits != 1 {
-		t.Errorf("cache hits = %d, want 1", hits)
+	if hits := srv.metrics.cacheHits.Value(); hits != 1 {
+		t.Errorf("cache hits = %v, want 1", hits)
 	}
 
 	metrics := getBody(t, ts, "/metrics")
@@ -284,7 +284,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// Draining: readiness flips so routers stop sending work, liveness
 	// stays green (the process is alive, finishing its backlog), intake
 	// refuses.
-	waitFor(t, func() bool { return srv.Draining() })
+	waitFor(t, func() bool { return srv.draining.Load() })
 	if resp, err := http.Get(ts.URL + "/readyz"); err != nil {
 		t.Fatal(err)
 	} else {
@@ -408,8 +408,8 @@ func TestShardedJobMetric(t *testing.T) {
 	if done.State != StateCompleted {
 		t.Fatalf("sharded job finished %s (%s), want completed", done.State, done.Error)
 	}
-	if got := srv.Metrics().ShardRuns(); got != 1 {
-		t.Errorf("ShardRuns = %d, want 1", got)
+	if got := srv.metrics.shardRuns.Value(); got != 1 {
+		t.Errorf("shard runs = %v, want 1", got)
 	}
 	metrics := getBody(t, ts, "/metrics")
 	if !strings.Contains(metrics, "slip_shard_runs_total 1") {
@@ -422,8 +422,8 @@ func TestShardedJobMetric(t *testing.T) {
 	if seqDone.State != StateCompleted {
 		t.Fatalf("sequential job finished %s (%s), want completed", seqDone.State, seqDone.Error)
 	}
-	if got := seqSrv.Metrics().ShardRuns(); got != 0 {
-		t.Errorf("sequential daemon ShardRuns = %d, want 0", got)
+	if got := seqSrv.metrics.shardRuns.Value(); got != 0 {
+		t.Errorf("sequential daemon shard runs = %v, want 0", got)
 	}
 	// Compare the architectural outputs; SimSeconds (wall clock) and the
 	// Spec's pointer fields legitimately differ between servers.

@@ -117,6 +117,10 @@ func TestSpecOfRejectsBadRequests(t *testing.T) {
 		{Workload: "milc", Policy: "slip", BinBits: 12},
 		{Workload: "milc", Policy: "baseline", Tech: "7nm"},
 		{Workload: "milc", Policy: "baseline", DRAM: &spec.DRAMSpec{PJPerBit: 11}},
+		// Cache sizes the cache constructor would panic on, deep in a worker.
+		{Workload: "milc", Policy: "slip", L2Bytes: 3},
+		{Workload: "milc", Policy: "baseline", L3Bytes: 1_000_000},
+		{Workload: "milc", Policy: "baseline", L2Bytes: 512},
 	}
 	for i, c := range cases {
 		r := RunRequest{Spec: c}

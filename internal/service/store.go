@@ -61,8 +61,8 @@ func (st *Store) diskWriter() {
 	defer close(st.diskDone)
 	for w := range st.diskCh {
 		// Errors are already counted in the castore's own stats
-		// (slip_castore_errors); a failed write just means this result is
-		// memory-only until re-simulated.
+		// (slip_castore_errors_total); a failed write just means this
+		// result is memory-only until re-simulated.
 		_ = st.disk.Put(w.key, w.payload)
 	}
 }

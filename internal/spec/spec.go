@@ -161,6 +161,17 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("spec: unknown topology %q (valid: %s, %s, %s)",
 			s.Topology, TopoWayInterleaved, TopoSetInterleaved, TopoHTree)
 	}
+	// L2 and L3 are 16-way (Build's 4+4+8 sublevels) over 64-byte lines
+	// with a power-of-two set count, so a size is 1 KiB times a power of
+	// two; the cache constructor rejects anything else with a panic.
+	for _, c := range [...]struct {
+		field string
+		bytes uint64
+	}{{"l2_bytes", s.L2Bytes}, {"l3_bytes", s.L3Bytes}} {
+		if c.bytes != 0 && (c.bytes < 16*mem.LineBytes || !mem.IsPow2(c.bytes)) {
+			return fmt.Errorf("spec: %s must be a power of two >= 1024 (got %d)", c.field, c.bytes)
+		}
+	}
 	switch s.Sampling {
 	case 0, 1, 2, 4, 8, 16:
 	default:
