@@ -7,7 +7,7 @@
 //	slipsim -workload soplex -policy slip+abp [-accesses N] [-warmup N]
 //	        [-seed N] [-cores 2 -workload2 mcf] [-rrip] [-binbits 4]
 //	        [-tech 22nm] [-topology h-tree] [-cpuprofile cpu.out]
-//	        [-sampling 8] [-intra-parallelism 4]
+//	        [-sampling 8]
 //	slipsim -spec run.json                       # run a declarative spec file
 //	slipsim -workload mcf -dump-spec             # print the canonical spec
 //	slipsim -trace file.trc -policy baseline     # replay a tracegen file
@@ -65,7 +65,6 @@ func main() {
 		sampling = flag.Int("sampling", 0, "set-sampling factor K: simulate 1/K of the cache sets and extrapolate (1 = full fidelity; valid: 1, 2, 4, 8, 16)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		listPol  = flag.Bool("list-policies", false, "list the registered policies with their metadata and exit")
-		intraPar = flag.Int("intra-parallelism", 0, "intra-run shard count: split the run over N set-sharded replicas with a bit-identical merge (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -142,12 +141,12 @@ func main() {
 	}
 
 	// One run through the experiment engine, with its trace and warm-state
-	// caches off: a lone run has nothing to share them with. Intra-run
-	// sharding merges bit-identically to the sequential run.
+	// caches off: a lone run has nothing to share them with. A phase of at
+	// least 200k accesses shards over the idle CPUs (up to 8), merging
+	// bit-identically to the sequential run.
 	suite := experiments.NewSuite(experiments.Options{
-		IntraParallelism: *intraPar,
-		TraceCacheBytes:  -1,
-		WarmCacheBytes:   -1,
+		TraceCacheBytes: -1,
+		WarmCacheBytes:  -1,
 	})
 	sys, err := suite.RunSpecContext(context.Background(), c)
 	if err != nil {

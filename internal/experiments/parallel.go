@@ -36,9 +36,10 @@ func (s *Suite) RunSpecContext(ctx context.Context, sp RunSpec) (*hier.System, e
 // Prefetch simulates the given specs over a worker pool bounded by
 // Options.Parallelism and leaves the results in the memo cache; subsequent
 // Run/RunS/RunMix calls for the same keys return instantly. Duplicate
-// specs are collapsed by the singleflight cache. Each simulation runs
-// entirely on one worker goroutine, so results are bit-identical to a
-// sequential execution of the same specs.
+// specs are collapsed by the singleflight cache. Each simulation is
+// driven by one worker goroutine (a sharded one merges bit-identically),
+// so results are bit-identical to a sequential execution of the same
+// specs.
 func (s *Suite) Prefetch(specs []RunSpec) {
 	// A background context never cancels, so the error is impossible.
 	_ = s.PrefetchContext(context.Background(), specs)
@@ -54,11 +55,9 @@ func (s *Suite) PrefetchContext(ctx context.Context, specs []RunSpec) error {
 	for _, sp := range specs {
 		s.mustResolve(sp)
 	}
-	// Publish the batch to the intra-run shard scheduler: while at least
-	// Parallelism specs are pending, each run stays sequential (run-level
-	// fan-out saturates the pool); once the tail narrows, remaining runs
-	// shard internally. See Suite.shardsFor.
-	s.pending.Add(int64(len(specs)))
+	// Queued specs count toward the process-wide demand shardWidth reads,
+	// so a pool's first run already sees the whole batch.
+	runDemand.Add(int64(len(specs)))
 	n := s.opts.Parallelism
 	if n > len(specs) {
 		n = len(specs)
@@ -73,10 +72,10 @@ func (s *Suite) PrefetchContext(ctx context.Context, specs []RunSpec) error {
 		go func() {
 			defer wg.Done()
 			for sp := range ch {
+				runDemand.Add(-1)
 				if ctx.Err() == nil {
 					_, _ = s.RunSpecContext(ctx, sp)
 				}
-				s.pending.Add(-1)
 			}
 		}()
 	}
@@ -91,9 +90,9 @@ dispatch:
 		}
 	}
 	close(ch)
-	// Workers decrement every dispatched spec (simulated or drained);
-	// abandoned ones come off the pending count here.
-	s.pending.Add(int64(dispatched - len(specs)))
+	// Workers take every dispatched spec off the demand count (simulated
+	// or drained); abandoned ones come off here.
+	runDemand.Add(int64(dispatched - len(specs)))
 	wg.Wait()
 	return ctx.Err()
 }

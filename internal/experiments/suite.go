@@ -52,14 +52,6 @@ type Options struct {
 	// (default: runtime.GOMAXPROCS(0)). It only affects how many distinct
 	// simulations run concurrently, never the result of any of them.
 	Parallelism int
-	// IntraParallelism bounds the shard count of the intra-run parallel
-	// executor (default: min(GOMAXPROCS, 8); 1 disables). When the suite
-	// has fewer pending distinct runs than Parallelism — the tail of a
-	// sweep, or a single interactive run — each simulation is split over
-	// up to this many set-sharded replicas whose merged result is
-	// bit-identical to the sequential run, so like Parallelism it only
-	// affects wall clock, never results or memo keys.
-	IntraParallelism int
 	// TraceCacheBytes bounds the trace materialization cache: each
 	// workload's access stream is recorded once (compact varint encoding)
 	// and replayed for every policy that consumes it, which is most of the
@@ -114,9 +106,6 @@ func (o *Options) normalize() {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.IntraParallelism <= 0 {
-		o.IntraParallelism = min(runtime.GOMAXPROCS(0), 8)
-	}
 	if o.TraceCache == nil && o.TraceCacheBytes >= 0 {
 		o.TraceCache = NewTraceCache(o.TraceCacheBytes)
 	}
@@ -139,13 +128,6 @@ type Suite struct {
 	// waiter with a live context claims a fresh one — one caller's
 	// cancellation never poisons the cache.
 	runs *lru.Cache[*hier.System]
-
-	// pending counts specs dispatched to the Prefetch worker pool and not
-	// yet completed. It drives the intra-run shard scheduler (shardsFor)
-	// and nothing else: an approximate value (duplicates collapsed by the
-	// memo count twice, direct RunS calls not at all) is harmless because
-	// the shard count never affects results.
-	pending atomic.Int64
 }
 
 // NewSuite builds a suite with the given options.
@@ -266,21 +248,47 @@ func (s *Suite) source(name string, seed, total uint64) trace.Source {
 	return buf.Replay()
 }
 
-// shardsFor picks the intra-run shard count for the simulation starting
-// now. When the Prefetch pool is saturated — at least Parallelism distinct
-// runs pending — run-level fan-out already occupies every worker, so each
-// run stays sequential (one goroutine, no merge overhead). Once the
-// pending tail is narrower than the pool (or the run came in directly,
-// outside any pool), the spare width goes to intra-run sharding. The
-// choice is re-evaluated per run and affects only scheduling: sharded and
-// sequential executions are bit-identical (hier.RunShardedContext), so a
-// run that straddles the transition is still deterministic.
-func (s *Suite) shardsFor() int {
-	if s.pending.Load() >= int64(s.opts.Parallelism) {
+// runDemand counts, across every suite in the process, the specs queued in a
+// Prefetch pool and not yet picked up by a worker plus the simulations in
+// flight. It feeds shardWidth and nothing else: an approximate value is
+// harmless because the width never affects results.
+var runDemand atomic.Int64
+
+// maxShardWidth caps the intra-run width. Every shard replays the whole
+// trace through the replicated page-grain work, so that cost grows with
+// the width while the split work shrinks; 8 is the cap the engine has
+// always used, and no wider host has measured past it.
+const maxShardWidth = 8
+
+// minShardAccesses is the smallest run phase (accesses times cores) that
+// shards: below it the replica clones, the two barriers per batch and the
+// merge eat the split. BenchmarkShardedRun in internal/hier measures the
+// crossover (soplex SLIP+ABP, 2 CPUs, go1.24.0; median S=2 speedup over
+// three sweeps of 5, 5 and 10 reps):
+//
+//	n per phase   50k         100k              200k              500k        1M
+//	S=2 vs S=1    0.97 1.04   1.09 1.07 0.90    1.10 1.12 1.04    1.09 1.15   1.09 1.12
+//
+// 200k is the smallest size whose median wins in every sweep. Every run is
+// listed in EXPERIMENTS.md under "Intra-run scaling".
+const minShardAccesses = 200_000
+
+// shardWidth is the one rule choosing a run phase's intra-run shard count.
+// A set-sampled spec, a phase under minShardAccesses or a geometry that is
+// not Shardable runs sequentially; otherwise the phase takes its share of
+// the CPUs, GOMAXPROCS over the process-wide demand, capped at
+// maxShardWidth. Sharded and sequential executions are bit-identical
+// (hier.RunShardedContext), so the choice moves only wall clock.
+func shardWidth(sampling int, accesses uint64, shardable bool, demand, procs int) int {
+	if sampling > 1 || accesses < minShardAccesses || !shardable {
 		return 1
 	}
-	return s.opts.IntraParallelism
+	return max(1, min(maxShardWidth, procs/max(demand, 1)))
 }
+
+// phaseWidth is simulate's call into shardWidth; tests replace it to force
+// or observe a width.
+var phaseWidth = shardWidth
 
 // simulate drives one canonical spec: per-core trace sources (core 0 runs
 // the workload with the spec seed, core i runs MixWith — or the workload
@@ -308,8 +316,13 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		}
 		return out
 	}
+	runDemand.Add(1)
+	defer runDemand.Add(-1)
+	width := func(sys *hier.System, accesses uint64) int {
+		return phaseWidth(c.Sampling, accesses*uint64(len(srcs)), sys.Shardable(),
+			int(runDemand.Load()), runtime.GOMAXPROCS(0))
+	}
 	var sys *hier.System
-	shards := s.shardsFor()
 	switch wc := s.opts.WarmCache; {
 	case warm > 0 && wc != nil:
 		// Warm-state path: fetch (or build, under the cache's singleflight)
@@ -319,7 +332,7 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		snap, err := wc.Get(ctx, warmCacheKey(c), func(ctx context.Context) (*hier.Snapshot, error) {
 			ran = true
 			ws := hier.New(cfg)
-			if err := ws.RunShardedContext(ctx, shards, s.progressFor(key, 0), limit(warm)...); err != nil {
+			if err := ws.RunShardedContext(ctx, width(ws, warm), s.progressFor(key, 0), limit(warm)...); err != nil {
 				return nil, err
 			}
 			ws.ResetStats()
@@ -340,14 +353,14 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		}
 	case warm > 0:
 		sys = hier.New(cfg)
-		if err := sys.RunShardedContext(ctx, shards, s.progressFor(key, 0), limit(warm)...); err != nil {
+		if err := sys.RunShardedContext(ctx, width(sys, warm), s.progressFor(key, 0), limit(warm)...); err != nil {
 			return nil, err
 		}
 		sys.ResetStats()
 	default:
 		sys = hier.New(cfg)
 	}
-	if err := sys.RunShardedContext(ctx, shards, s.progressFor(key, uint64(len(srcs))*warm), limit(c.Accesses)...); err != nil {
+	if err := sys.RunShardedContext(ctx, width(sys, c.Accesses), s.progressFor(key, uint64(len(srcs))*warm), limit(c.Accesses)...); err != nil {
 		return nil, err
 	}
 	return sys, nil

@@ -13,8 +13,13 @@ import (
 )
 
 // coreShift places each core's private address space in a disjoint region
-// (below the metadata region at 0xf000_0000_0000).
+// (below the metadata region at mmu.ProfileBase).
 const coreShift = 44
+
+// MaxCores is the largest core count the address map supports: core c's
+// region starts at c<<coreShift, and core MaxCores's region would start at
+// mmu.ProfileBase, where the page profiles live.
+const MaxCores = int(mmu.ProfileBase >> coreShift)
 
 // shiftAddr relocates a core-local address into the core's region.
 func shiftAddr(coreID int, a mem.Addr) mem.Addr {
@@ -24,20 +29,21 @@ func shiftAddr(coreID int, a mem.Addr) mem.Addr {
 // Run drives one trace source per core through the system, interleaving
 // round-robin, until every source is exhausted. Multi-core runs relocate
 // each core's addresses into a private region (the multiprogrammed, no
-// -sharing setup of Section 6).
+// -sharing setup of Section 6). It is RunShardedContext at width 1.
 func (s *System) Run(srcs ...trace.Source) {
 	// A background context never cancels, so the error is impossible.
-	_ = s.RunContext(context.Background(), nil, srcs...)
+	_ = s.RunShardedContext(context.Background(), 1, nil, srcs...)
 }
 
 // cancelCheckEvery is the access stride between context polls and progress
-// reports in RunContext. A power of two keeps the check a single mask on
-// the hot path; at ~300 ns/access one stride is ~1 ms of simulation, so
-// cancellation latency stays well under any service deadline.
+// reports in RunShardedContext, and its replay batch. A power of two keeps
+// the check a single mask on the hot path; at ~300 ns/access one stride is
+// ~1 ms of simulation, so cancellation latency stays well under any service
+// deadline.
 const cancelCheckEvery = 4096
 
-// runScratch pools RunContext's decode buffers. The parallel experiment
-// engine starts thousands of short runs (two RunContext calls each, warmup
+// runScratch pools RunShardedContext's decode buffers. The parallel
+// experiment engine starts thousands of short runs (two runs each, warmup
 // and measurement), and a fresh ~100 KiB buffer pair per call is pure GC
 // pressure; the buffers are overwritten before every read, so reuse cannot
 // affect results.
@@ -53,60 +59,74 @@ type runBuffers struct {
 	cores []int
 }
 
-// RunContext is Run with a cancellation hook: every cancelCheckEvery
-// accesses it polls ctx (returning ctx.Err() mid-trace when cancelled) and
-// invokes progress, if non-nil, with the cumulative number of accesses
-// driven across all sources. progress also fires once at exhaustion. An
-// uncancelled RunContext performs exactly the access sequence Run does, so
-// results are bit-identical.
-func (s *System) RunContext(ctx context.Context, progress func(done uint64), srcs ...trace.Source) error {
+// RunShardedContext is Run split over up to `shards` set-sharded replicas
+// (see sharded.go), with a cancellation hook. Final state and statistics
+// are bit-identical at every width. shards is clamped to MaxShards; a
+// width of 1 or less, or a geometry that is not Shardable, runs
+// sequentially on the receiver. ShardWidth reports the width used.
+//
+// Every cancelCheckEvery accesses it polls ctx (returning ctx.Err() mid-
+// trace when cancelled) and invokes progress, if non-nil, with the
+// cumulative number of accesses driven across all sources; progress also
+// fires once at exhaustion. A cancelled sequential run returns with its
+// partial state applied; a cancelled sharded run returns without merging,
+// leaving the receiver unchanged. Either way the system is for discarding.
+func (s *System) RunShardedContext(ctx context.Context, shards int, progress func(done uint64), srcs ...trace.Source) error {
 	if len(srcs) != len(s.cores) {
 		panic("hier: Run needs exactly one source per core")
 	}
+	if s.shardMask != 0 {
+		panic("hier: RunShardedContext on a shard replica")
+	}
+	shards = min(shards, MaxShards)
+	if shards <= 1 || !s.Shardable() {
+		shards = 1
+	}
+	s.shardWidth = shards
 	// The trace is consumed in cancelCheckEvery-sized batches: one
 	// NextBatchWithCore call replaces a few thousand interface dispatches
 	// through the interleave/limiter/generator chain, and materialized
-	// traces (trace.Buffer replays) decode in a tight varint loop. The
-	// access sequence is exactly the scalar one — a short batch is, by the
-	// BatchSource contract, the point where NextWithCore would have
-	// returned ok=false — and the context poll and progress call happen at
-	// the same access counts as the scalar loop did, so results and
-	// cancellation points are bit-identical.
+	// traces (trace.Buffer replays) decode in a tight varint loop. A short
+	// batch is, by the BatchSource contract, the end of the stream.
 	iv := trace.NewInterleave(srcs...)
-	done := ctx.Done()
-	multi := len(s.cores) > 1
 	buffers := runScratch.Get().(*runBuffers)
 	defer runScratch.Put(buffers)
 	batch := buffers.batch
-	var cores []int
-	if multi {
-		cores = buffers.cores
+	var coreIDs []int
+	if len(s.cores) > 1 {
+		coreIDs = buffers.cores
 	}
+	var pool *shardPool
+	if shards > 1 {
+		pool = s.startShards(shards, batch, coreIDs)
+		defer pool.stop()
+	}
+	done := ctx.Done()
 	var n uint64
 	for {
 		var k int
-		if multi {
-			k = iv.NextBatchWithCore(batch, cores)
-			for i := 0; i < k; i++ {
-				a := batch[i]
-				a.Addr = shiftAddr(cores[i], a.Addr)
-				s.Access(cores[i], a)
-			}
+		if coreIDs != nil {
+			k = iv.NextBatchWithCore(batch, coreIDs)
 		} else {
 			k = iv.NextBatch(batch)
-			for i := 0; i < k; i++ {
-				s.Access(0, batch[i])
-			}
 		}
-		// Batch boundary: fold staged reuse-distance evidence in canonical
-		// order (see pending.go). Folding at fixed access counts — never at
-		// data-dependent points — is what keeps the fold schedule identical
-		// across sequential and sharded executions.
-		s.FoldPending()
+		if pool != nil {
+			pool.step(k)
+		} else {
+			s.replay(batch[:k], coreIDs)
+			// Batch boundary: fold staged reuse-distance evidence in
+			// canonical order (see pending.go). Folding at fixed access
+			// counts — never at data-dependent points — is what keeps the
+			// fold schedule identical at every width.
+			s.FoldPending()
+		}
 		n += uint64(k)
 		if k < len(batch) {
 			if progress != nil {
 				progress(n)
+			}
+			if pool != nil {
+				s.mergeShards(pool.workers)
 			}
 			return nil
 		}
@@ -120,6 +140,26 @@ func (s *System) RunContext(ctx context.Context, progress func(done uint64), src
 		if progress != nil {
 			progress(n)
 		}
+	}
+}
+
+// ShardWidth reports the shard count the last RunShardedContext call on
+// this system actually used: 1 for a sequential run (including a wider
+// request the geometry could not honour), 0 before any run.
+func (s *System) ShardWidth() int { return s.shardWidth }
+
+// replay drives one decoded batch through the system; coreIDs names each
+// access's core and is nil for a single-core system.
+func (s *System) replay(batch []trace.Access, coreIDs []int) {
+	if coreIDs == nil {
+		for i := range batch {
+			s.Access(0, batch[i])
+		}
+		return
+	}
+	for i, a := range batch {
+		a.Addr = shiftAddr(coreIDs[i], a.Addr)
+		s.Access(coreIDs[i], a)
 	}
 }
 

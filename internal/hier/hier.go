@@ -89,8 +89,8 @@ func ParsePolicy(name string) (PolicyKind, error) {
 // paper's Table 1/2 configuration.
 type Config struct {
 	Policy PolicyKind
-	// NumCores is 1 (default) or more; cores get private L1/L2 and share
-	// the L3 (the Figure 16 setup).
+	// NumCores is 1 (default) up to MaxCores; cores get private L1/L2 and
+	// share the L3 (the Figure 16 setup).
 	NumCores int
 	// L2Params/L3Params default to the 45nm presets.
 	L2Params *energy.LevelParams
@@ -237,6 +237,9 @@ type System struct {
 	// reproduce the sequential run state for state partitioned by group.
 	shardMask uint64
 
+	// shardWidth is the shard count the last run used (see ShardWidth).
+	shardWidth int
+
 	// SampledAccesses/SkippedAccesses split the driven accesses between the
 	// simulated sample and the short-circuited remainder (both zero when
 	// sampling is off).
@@ -249,6 +252,9 @@ func New(cfg Config) *System {
 	desc := cfg.Policy.Descriptor()
 	if desc == nil {
 		panic(fmt.Sprintf("hier: unknown policy %v", cfg.Policy))
+	}
+	if cfg.NumCores > MaxCores {
+		panic(fmt.Sprintf("hier: NumCores must be <= MaxCores = %d (got %d)", MaxCores, cfg.NumCores))
 	}
 	s := &System{cfg: cfg}
 	if cfg.SampleK > 1 {

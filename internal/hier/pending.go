@@ -39,7 +39,7 @@ func applyPend(l2, l3 *core.Dist, counts *[2][core.NumBins]uint16) {
 }
 
 // FoldPending folds all staged reuse-distance evidence into the page
-// distributions and clears the staging buffers. RunContext calls it at
+// distributions and clears the staging buffers. RunShardedContext calls it at
 // every batch boundary and at stream end; callers driving Access directly
 // (benchmark harnesses) must call it themselves every few thousand
 // accesses, both to let pages stabilize and to keep the uint16 staging

@@ -37,7 +37,6 @@ package hier
 //     whole MMU.
 
 import (
-	"context"
 	"slices"
 	"sync"
 
@@ -149,140 +148,70 @@ func (w *shardWorker) applyAggregate(agg [][]pendEntry) {
 
 // loop is the worker goroutine: process a batch, then apply the fold, in
 // lockstep with the coordinator's barriers.
-func (w *shardWorker) loop(wg *sync.WaitGroup, batch []trace.Access, coreIDs []int, multi bool, agg [][]pendEntry) {
+func (w *shardWorker) loop(wg *sync.WaitGroup, batch []trace.Access, coreIDs []int, agg [][]pendEntry) {
 	for cmd := range w.cmds {
 		switch cmd.op {
 		case opProcess:
-			if multi {
-				for i := 0; i < cmd.k; i++ {
-					a := batch[i]
-					a.Addr = shiftAddr(coreIDs[i], a.Addr)
-					w.rep.Access(coreIDs[i], a)
-				}
-			} else {
-				for i := 0; i < cmd.k; i++ {
-					w.rep.Access(0, batch[i])
-				}
-			}
+			w.rep.replay(batch[:cmd.k], coreIDs)
 			w.collectPending()
-			wg.Done()
 		case opApply:
 			w.applyAggregate(agg)
-			wg.Done()
 		case opExit:
 			return
 		}
+		wg.Done()
 	}
 }
 
-// RunSharded is RunShardedContext with a background context and no
-// progress callback.
-func (s *System) RunSharded(shards int, srcs ...trace.Source) {
-	_ = s.RunShardedContext(context.Background(), shards, nil, srcs...)
+// shardPool is the parallel side of a sharded run: one replica and one
+// worker goroutine per shard, driven through two barriers per batch.
+type shardPool struct {
+	workers []*shardWorker
+	agg     [][]pendEntry
+	wg      sync.WaitGroup
 }
 
-// RunShardedContext drives the sources through the system using up to
-// `shards` shard replicas in parallel, producing final state and
-// statistics bit-identical to RunContext with the same sources. shards <=
-// 1, an unshardable geometry, or a single-group configuration falls back
-// to the sequential path. Cancellation aborts mid-run without merging:
-// the receiver is then unchanged (unlike RunContext, which cancels with
-// partial state applied), which is fine for both callers — a cancelled
-// run's system is discarded.
-func (s *System) RunShardedContext(ctx context.Context, shards int, progress func(done uint64), srcs ...trace.Source) error {
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	if shards <= 1 || !s.Shardable() {
-		return s.RunContext(ctx, progress, srcs...)
-	}
-	if len(srcs) != len(s.cores) {
-		panic("hier: Run needs exactly one source per core")
-	}
-	if s.shardMask != 0 {
-		panic("hier: RunShardedContext on a shard replica")
-	}
-
-	reps := make([]*System, shards)
-	for i := range reps {
-		reps[i] = s.clone()
-		reps[i].shardMask = shardGroupMask(i, shards)
-		reps[i].zeroOwnedCounters()
-	}
-
-	iv := trace.NewInterleave(srcs...)
-	done := ctx.Done()
-	multi := len(s.cores) > 1
-	buffers := runScratch.Get().(*runBuffers)
-	defer runScratch.Put(buffers)
-	batch := buffers.batch
-	var coreIDs []int
-	if multi {
-		coreIDs = buffers.cores
-	}
-
+// startShards clones the receiver into `shards` replicas, each owning its
+// round-robin share of the groups, and starts their workers over the
+// coordinator's decode buffers.
+func (s *System) startShards(shards int, batch []trace.Access, coreIDs []int) *shardPool {
 	numCores := len(s.cores)
-	agg := make([][]pendEntry, numCores)
-	var wg sync.WaitGroup
-	workers := make([]*shardWorker, shards)
-	for i := range workers {
-		workers[i] = &shardWorker{
-			rep:  reps[i],
-			cmds: make(chan shardCmd, 1),
-			pend: make([][]pendEntry, numCores),
-		}
-		go workers[i].loop(&wg, batch, coreIDs, multi, agg)
+	p := &shardPool{workers: make([]*shardWorker, shards), agg: make([][]pendEntry, numCores)}
+	for i := range p.workers {
+		rep := s.clone()
+		rep.shardMask = shardGroupMask(i, shards)
+		rep.zeroOwnedCounters()
+		w := &shardWorker{rep: rep, cmds: make(chan shardCmd, 1), pend: make([][]pendEntry, numCores)}
+		p.workers[i] = w
+		go w.loop(&p.wg, batch, coreIDs, p.agg)
 	}
-	stop := func() {
-		for _, w := range workers {
-			w.cmds <- shardCmd{op: opExit}
-		}
-	}
+	return p
+}
 
-	var n uint64
-	for {
-		k := 0
-		if multi {
-			k = iv.NextBatchWithCore(batch, coreIDs)
-		} else {
-			k = iv.NextBatch(batch)
-		}
-		// Barrier 1: every shard replays the batch (set-indexed work only
-		// for its own groups) and drains its staged evidence.
-		wg.Add(shards)
-		for _, w := range workers {
-			w.cmds <- shardCmd{op: opProcess, k: k}
-		}
-		wg.Wait()
-		// Aggregate the shards' evidence into one canonical per-core list.
-		aggregatePending(agg, workers)
-		// Barrier 2: every shard applies the identical fold, keeping all
-		// replicas' page machinery in lockstep.
-		wg.Add(shards)
-		for _, w := range workers {
-			w.cmds <- shardCmd{op: opApply}
-		}
-		wg.Wait()
-		n += uint64(k)
-		if k < len(batch) {
-			stop()
-			if progress != nil {
-				progress(n)
-			}
-			s.mergeShards(reps)
-			return nil
-		}
-		if done != nil {
-			select {
-			case <-done:
-				stop()
-				return ctx.Err()
-			default:
-			}
-		}
-		if progress != nil {
-			progress(n)
-		}
+// step replays the batch's first k accesses on every shard. Barrier 1:
+// every shard replays the batch (set-indexed work only for its own
+// groups) and drains its staged evidence; the coordinator aggregates it
+// into one canonical per-core list. Barrier 2: every shard applies the
+// identical fold, keeping all replicas' page machinery in lockstep.
+func (p *shardPool) step(k int) {
+	p.broadcast(shardCmd{op: opProcess, k: k})
+	aggregatePending(p.agg, p.workers)
+	p.broadcast(shardCmd{op: opApply})
+}
+
+// broadcast runs one phase on every worker and waits for all of them.
+func (p *shardPool) broadcast(cmd shardCmd) {
+	p.wg.Add(len(p.workers))
+	for _, w := range p.workers {
+		w.cmds <- cmd
+	}
+	p.wg.Wait()
+}
+
+// stop ends the worker goroutines; the replicas stay readable.
+func (p *shardPool) stop() {
+	for _, w := range p.workers {
+		w.cmds <- shardCmd{op: opExit}
 	}
 }
 
@@ -356,8 +285,8 @@ func (s *System) zeroOwnedCounters() {
 
 // mergeShards folds the shard replicas back into the receiver per the
 // merge taxonomy at the top of this file.
-func (s *System) mergeShards(reps []*System) {
-	r0 := reps[0]
+func (s *System) mergeShards(workers []*shardWorker) {
+	r0 := workers[0].rep
 	// Replicated state: every shard computed the same values; take shard
 	// 0's (pointer adoption is safe — the replicas are discarded here).
 	s.EOUOps = r0.EOUOps
@@ -369,7 +298,8 @@ func (s *System) mergeShards(reps []*System) {
 		cn.mmu = rcn.mmu
 	}
 	// Owned-summed deltas.
-	for _, r := range reps {
+	for _, w := range workers {
+		r := w.rep
 		for c, cn := range s.cores {
 			cn.l1.Stats.Merge(&r.cores[c].l1.Stats)
 			cn.l2.Stats.Merge(&r.cores[c].l2.Stats)
@@ -405,7 +335,7 @@ func (s *System) mergeShards(reps []*System) {
 	}
 	// Group-grafted state: adopt each group from the shard that owned it.
 	for g := 0; g < cache.NumGroups; g++ {
-		owner := reps[g%len(reps)]
+		owner := workers[g%len(workers)].rep
 		for c, cn := range s.cores {
 			cn.l1.AdoptGroup(owner.cores[c].l1, g)
 			cn.l2.AdoptGroup(owner.cores[c].l2, g)

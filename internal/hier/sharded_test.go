@@ -1,11 +1,29 @@
 package hier
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
+
+// runSharded drives srcs through s at the given width and checks that the
+// run really used it (clamped to MaxShards; 1 for an unshardable geometry).
+func runSharded(t testing.TB, s *System, shards int, srcs ...trace.Source) {
+	t.Helper()
+	want := 1
+	if s.Shardable() {
+		want = min(shards, MaxShards)
+	}
+	if err := s.RunShardedContext(context.Background(), shards, nil, srcs...); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ShardWidth(); got != want {
+		t.Fatalf("ShardWidth = %d after a width-%d request, want %d", got, shards, want)
+	}
+}
 
 // TestShardedBitIdentity is the tentpole's correctness proof: for every
 // registered policy and several shard counts, an intra-run sharded
@@ -32,9 +50,9 @@ func TestShardedBitIdentity(t *testing.T) {
 				// Sharded warmup and sharded measured window.
 				sh := New(cfg)
 				ssrc := mixedSource(3)
-				sh.RunSharded(shards, trace.Limit(ssrc, warm))
+				runSharded(t, sh, shards, trace.Limit(ssrc, warm))
 				sh.ResetStats()
-				sh.RunSharded(shards, trace.Limit(ssrc, measured))
+				runSharded(t, sh, shards, trace.Limit(ssrc, measured))
 				if got := stateDigest(sh); got != want {
 					t.Errorf("sharded warm+measure diverged from sequential:\n--- want ---\n%s--- got ---\n%s", want, got)
 				}
@@ -45,7 +63,7 @@ func TestShardedBitIdentity(t *testing.T) {
 				msrc := mixedSource(3)
 				split.Run(trace.Limit(msrc, warm))
 				split.ResetStats()
-				split.RunSharded(shards, trace.Limit(msrc, measured))
+				runSharded(t, split, shards, trace.Limit(msrc, measured))
 				if got := stateDigest(split); got != want {
 					t.Errorf("sequential-warm + sharded-measure diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
 				}
@@ -77,9 +95,9 @@ func TestShardedBitIdentityMix(t *testing.T) {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
 			sh := New(cfg)
 			w := srcs()
-			sh.RunSharded(shards, trace.Limit(w[0], warm), trace.Limit(w[1], warm))
+			runSharded(t, sh, shards, trace.Limit(w[0], warm), trace.Limit(w[1], warm))
 			sh.ResetStats()
-			sh.RunSharded(shards, trace.Limit(w[0], measured), trace.Limit(w[1], measured))
+			runSharded(t, sh, shards, trace.Limit(w[0], measured), trace.Limit(w[1], measured))
 			if got := stateDigest(sh); got != want {
 				t.Errorf("2-core sharded run diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
 			}
@@ -108,7 +126,7 @@ func TestShardedSamplingComposition(t *testing.T) {
 
 			for _, shards := range []int{2, 4, 8} {
 				sh := New(cfg)
-				sh.RunSharded(shards, trace.Limit(mixedSource(3), n))
+				runSharded(t, sh, shards, trace.Limit(mixedSource(3), n))
 				if got := stateDigest(sh); got != want {
 					t.Errorf("S=%d diverged under sampling K=%d:\n--- want ---\n%s--- got ---\n%s",
 						shards, k, want, got)
@@ -186,7 +204,7 @@ func TestShardedConfigSweep(t *testing.T) {
 				// Sequential warm, sharded measure: the realistic split.
 				sh.Run(wl...)
 				sh.ResetStats()
-				sh.RunSharded(shards, shSrcs...)
+				runSharded(t, sh, shards, shSrcs...)
 				if got := stateDigest(sh); got != want {
 					t.Errorf("cfg%d S=%d diverged:\n--- want ---\n%s--- got ---\n%s", ci, shards, want, got)
 				}
@@ -207,7 +225,7 @@ func TestShardedFallsBackWhenUnshardable(t *testing.T) {
 	ref := New(cfg)
 	ref.Run(trace.Limit(mixedSource(2), 50_000))
 	sh := New(cfg)
-	sh.RunSharded(4, trace.Limit(mixedSource(2), 50_000))
+	runSharded(t, sh, 4, trace.Limit(mixedSource(2), 50_000))
 	if stateDigest(sh) != stateDigest(ref) {
 		t.Error("fallback sharded run diverged from sequential")
 	}
@@ -283,17 +301,78 @@ func BenchmarkShardedAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedRun measures end-to-end wall clock of RunSharded at
-// various shard counts on one trace; S=1 is the sequential baseline the
-// sharding speedup is read against (perfbench's hier.shard2_speedup is the
-// same ratio at S=2 on a replayed fig9-scale trace).
+// BenchmarkShardedRun is the crossover sweep behind the experiment
+// engine's shard floor (minShardAccesses in internal/experiments): one
+// soplex SLIP+ABP run from a fresh system, warmup then measured window of
+// n accesses each, both phases at width S, for n from 50k to 1M and
+// S = 1, 2, plus one set-sampled row (K=8). The trace is recorded once,
+// outside the timer, and replayed per run, as the engine's trace cache
+// does. -count repeats each sub-benchmark back to back; for interleaved
+// S=1/S=2 pairs run the test binary once per repetition instead.
 func BenchmarkShardedRun(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := New(Config{Policy: SLIPABP, Seed: 1})
-				s.RunSharded(shards, trace.Limit(mixedSource(3), 200_000))
-			}
+	wl, _ := workloads.ByName("soplex")
+	sweep := func(b *testing.B, cfg Config, n uint64) {
+		buf := trace.Record(wl.Build(1), 2*n)
+		for _, shards := range []int{1, 2} {
+			b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s := New(cfg)
+					src := buf.Replay()
+					_ = s.RunShardedContext(context.Background(), shards, nil, trace.Limit(src, n))
+					s.ResetStats()
+					_ = s.RunShardedContext(context.Background(), shards, nil, trace.Limit(src, n))
+				}
+			})
+		}
+	}
+	for _, n := range []uint64{50_000, 100_000, 200_000, 500_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
+			sweep(b, Config{Policy: SLIPABP, Seed: 1}, n)
 		})
 	}
+	b.Run("K=8/n=500k", func(b *testing.B) {
+		sweep(b, Config{Policy: SLIPABP, Seed: 1, SampleK: 8, SampleMask: sampleMaskLow(8)}, 500_000)
+	})
+}
+
+// FuzzShardedConfig extends TestShardedConfigSweep's identity over fuzzed
+// configuration corners: policy, core count, replacement, counter width,
+// set-sampling factor, seed, shard count (2..64) and warmup length, with a
+// sequential warmup and a sharded measured window against an all-
+// sequential reference.
+func FuzzShardedConfig(f *testing.F) {
+	f.Add(uint8(0), uint8(0), false, uint8(0), uint8(0), uint64(1), uint8(0), uint16(20_000))
+	f.Add(uint8(1), uint8(1), true, uint8(3), uint8(2), uint64(5), uint8(3), uint16(0))
+	f.Add(uint8(2), uint8(0), false, uint8(8), uint8(3), uint64(11), uint8(62), uint16(9_000))
+	f.Fuzz(func(t *testing.T, pol, cores uint8, rrip bool, binBits, sampleLog uint8, seed uint64, shards uint8, warm uint16) {
+		cfg := Config{
+			Policy:   allPolicies[int(pol)%len(allPolicies)],
+			NumCores: 1 + int(cores%2),
+			UseRRIP:  rrip,
+			BinBits:  binBits % 9,
+			Seed:     seed,
+		}
+		if k := 1 << (sampleLog % 5); k > 1 {
+			cfg.SampleK, cfg.SampleMask = k, sampleMaskLow(k)
+		}
+		width := 2 + int(shards)%(MaxShards-1)
+		const measured = 20_000
+		run := func(width int) string {
+			s := New(cfg)
+			srcs := make([]trace.Source, cfg.NumCores)
+			warmSrcs := make([]trace.Source, cfg.NumCores)
+			for c := range srcs {
+				srcs[c] = mixedSource(seed + uint64(c))
+				warmSrcs[c] = trace.Limit(srcs[c], uint64(warm))
+				srcs[c] = trace.Limit(srcs[c], measured)
+			}
+			s.Run(warmSrcs...)
+			s.ResetStats()
+			runSharded(t, s, width, srcs...)
+			return stateDigest(s)
+		}
+		if got, want := run(width), run(1); got != want {
+			t.Errorf("S=%d diverged from sequential for %+v:\n--- want ---\n%s--- got ---\n%s", width, cfg, want, got)
+		}
+	})
 }

@@ -37,6 +37,8 @@ func FuzzPostRun(f *testing.F) {
   "l2_bytes":262144,"l3_bytes":2097152,
   "dram":{"latency_cycles":100,"pj_per_bit":12},"timeout_ms":60000}`,
 		`{"workload":"milc","policy":"slip","acesses":5}`,
+		// A core count past the address map, refused before any allocation.
+		`{"workload":"milc","policy":"baseline","cores":100000}`,
 	} {
 		f.Add(body)
 	}

@@ -128,7 +128,7 @@ var slipdFamilies = []metrics.Family[*Server]{
 
 	{Name: "slip_sampled_runs_total", Help: "Completed set-sampled (sampling > 1) runs.", Type: "counter",
 		Value: func(s *Server) float64 { return s.metrics.sampledRuns.Value() }},
-	{Name: "slip_shard_runs_total", Help: "Completed runs executed by the intra-run sharded executor.", Type: "counter",
+	{Name: "slip_shard_runs_total", Help: "Completed runs whose measured window ran on more than one intra-run shard.", Type: "counter",
 		Value: func(s *Server) float64 { return s.metrics.shardRuns.Value() }},
 	{Name: "slipd_sim_accesses_total", Help: "Memory accesses simulated across all jobs.", Type: "counter",
 		Value: func(s *Server) float64 { return s.metrics.accesses.Value() }},

@@ -35,12 +35,6 @@ type Config struct {
 	// JobTimeout is the per-job deadline; an expired job reports state
 	// cancelled (default 5m). Requests may shorten it, never extend it.
 	JobTimeout time.Duration
-	// IntraParallelism bounds the intra-run shard count for jobs running
-	// alone on the daemon (default min(GOMAXPROCS, 8); 1 disables). A job
-	// sharing the pool with other running jobs stays sequential — the
-	// run-level fan-out already uses the CPUs. Sharded and sequential
-	// executions are bit-identical, so the knob only moves wall clock.
-	IntraParallelism int
 	// TraceCacheBytes bounds the trace materialization cache shared by
 	// every job and the experiment endpoints: each distinct workload
 	// stream is generated once and replayed by later runs (bit-identical
@@ -83,9 +77,6 @@ func (c *Config) fill() {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 5 * time.Minute
-	}
-	if c.IntraParallelism <= 0 {
-		c.IntraParallelism = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if c.Log == nil {
 		c.Log = log.New(io.Discard, "", 0)
@@ -180,17 +171,16 @@ func New(cfg Config) *Server {
 		store:   NewStoreWithDisk(cfg.StoreCap, cfg.DiskStore),
 		metrics: Metrics{run: metrics.NewHistogram(runLatencyBuckets...)},
 		expSuite: experiments.NewSuite(experiments.Options{
-			Accesses:         cfg.DefaultAccesses,
-			Warmup:           warmup,
-			WarmupSet:        true,
-			Seed:             cfg.DefaultSeed,
-			Parallelism:      cfg.Workers,
-			IntraParallelism: cfg.IntraParallelism,
-			Out:              expOut,
-			TraceCacheBytes:  cfg.TraceCacheBytes,
-			TraceCache:       traceCache,
-			WarmCacheBytes:   cfg.WarmCacheBytes,
-			WarmCache:        warmCache,
+			Accesses:        cfg.DefaultAccesses,
+			Warmup:          warmup,
+			WarmupSet:       true,
+			Seed:            cfg.DefaultSeed,
+			Parallelism:     cfg.Workers,
+			Out:             expOut,
+			TraceCacheBytes: cfg.TraceCacheBytes,
+			TraceCache:      traceCache,
+			WarmCacheBytes:  cfg.WarmCacheBytes,
+			WarmCache:       warmCache,
 		}),
 		expOut:     expOut,
 		traceCache: traceCache,
@@ -365,28 +355,17 @@ func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.jobDeadline(j))
 	defer cancel()
 
-	// Intra-run sharding is granted only to a job running alone: when
-	// other jobs hold workers, run-level fan-out already occupies the
-	// CPUs. The choice never affects the result (sharded and sequential
-	// runs are bit-identical), only how this job's wall clock is spent.
-	intra := s.cfg.IntraParallelism
-	if s.running.Load() > 1 {
-		intra = 1
-	}
-	j.sharded = intra > 1
-
 	var lastReported uint64
 	suite := experiments.NewSuite(experiments.Options{
-		Accesses:         j.Spec.Accesses,
-		Warmup:           *j.Spec.Warmup,
-		WarmupSet:        true,
-		Seed:             j.Spec.Seed,
-		Parallelism:      1,
-		IntraParallelism: intra,
-		TraceCacheBytes:  s.cfg.TraceCacheBytes,
-		TraceCache:       s.traceCache,
-		WarmCacheBytes:   s.cfg.WarmCacheBytes,
-		WarmCache:        s.warmCache,
+		Accesses:        j.Spec.Accesses,
+		Warmup:          *j.Spec.Warmup,
+		WarmupSet:       true,
+		Seed:            j.Spec.Seed,
+		Parallelism:     1,
+		TraceCacheBytes: s.cfg.TraceCacheBytes,
+		TraceCache:      s.traceCache,
+		WarmCacheBytes:  s.cfg.WarmCacheBytes,
+		WarmCache:       s.warmCache,
 		Progress: func(_ string, done uint64) {
 			j.progress.Store(done)
 			// One worker goroutine drives the whole job, so the delta
@@ -401,6 +380,9 @@ func (s *Server) runJob(j *Job) {
 	if err != nil {
 		s.finishJob(j, nil, err)
 		return
+	}
+	if sys.ShardWidth() > 1 {
+		s.metrics.shardRuns.Inc()
 	}
 	s.finishJob(j, resultFrom(sys, j.Spec, time.Since(j.Started)), nil)
 }
@@ -432,9 +414,6 @@ func (s *Server) finishJob(j *Job, res *RunResult, err error) {
 	if err == nil {
 		if j.Spec.Sampling > 1 {
 			s.metrics.sampledRuns.Inc()
-		}
-		if j.sharded {
-			s.metrics.shardRuns.Inc()
 		}
 	}
 	s.metrics.JobFinished(j.State, j.Finished.Sub(j.Started).Seconds())

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -395,35 +396,43 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardedJobMetric drives a job through a daemon configured with
-// intra-run sharding and asserts the slip_shard_runs_total counter fires,
-// and that the sharded result is identical to a sequential daemon's. The
-// explicit IntraParallelism makes the test independent of host CPU count.
+// TestShardedJobMetric drives a lone job at the shard floor through a
+// daemon on 2 CPUs and asserts that it sharded and was counted, that the
+// same job on 1 CPU runs sequentially, uncounted, with an identical
+// result, and that a lone job whose geometry cannot shard (a 16-set L2)
+// is not counted either. GOMAXPROCS is pinned so the widths the engine
+// picks do not depend on the host.
 func TestShardedJobMetric(t *testing.T) {
-	srv, ts := testServer(t, Config{Workers: 1, QueueDepth: 8, IntraParallelism: 4}, nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const body = `{"workload":"milc","policy":"slip+abp","accesses":200000,"warmup":200000,"seed":7}`
+	run := func(body string) (*Server, *httptest.Server, JobView) {
+		t.Helper()
+		srv, ts := testServer(t, Config{Workers: 1, QueueDepth: 8}, nil)
+		_, v, _ := postRun(t, ts, body)
+		done := pollJob(t, ts, v.ID)
+		if done.State != StateCompleted {
+			t.Fatalf("job %s finished %s (%s), want completed", body, done.State, done.Error)
+		}
+		return srv, ts, done
+	}
 
-	body := `{"workload":"milc","policy":"slip+abp","accesses":20000,"warmup":20000,"seed":7}`
-	_, v, _ := postRun(t, ts, body)
-	done := pollJob(t, ts, v.ID)
-	if done.State != StateCompleted {
-		t.Fatalf("sharded job finished %s (%s), want completed", done.State, done.Error)
-	}
+	srv, ts, done := run(body)
 	if got := srv.metrics.shardRuns.Value(); got != 1 {
-		t.Errorf("shard runs = %v, want 1", got)
+		t.Errorf("shard runs on 2 CPUs = %v, want 1", got)
 	}
-	metrics := getBody(t, ts, "/metrics")
-	if !strings.Contains(metrics, "slip_shard_runs_total 1") {
+	if metrics := getBody(t, ts, "/metrics"); !strings.Contains(metrics, "slip_shard_runs_total 1") {
 		t.Errorf("/metrics missing slip_shard_runs_total 1:\n%s", metrics)
 	}
 
-	seqSrv, seqTS := testServer(t, Config{Workers: 1, QueueDepth: 8, IntraParallelism: 1}, nil)
-	_, sv, _ := postRun(t, seqTS, body)
-	seqDone := pollJob(t, seqTS, sv.ID)
-	if seqDone.State != StateCompleted {
-		t.Fatalf("sequential job finished %s (%s), want completed", seqDone.State, seqDone.Error)
+	unshardable, _, _ := run(`{"workload":"milc","policy":"slip+abp","accesses":200000,"warmup":200000,"seed":7,"l2_bytes":16384}`)
+	if got := unshardable.metrics.shardRuns.Value(); got != 0 {
+		t.Errorf("shard runs for a 16-set L2 = %v, want 0", got)
 	}
+
+	runtime.GOMAXPROCS(1)
+	seqSrv, _, seqDone := run(body)
 	if got := seqSrv.metrics.shardRuns.Value(); got != 0 {
-		t.Errorf("sequential daemon shard runs = %v, want 0", got)
+		t.Errorf("shard runs on 1 CPU = %v, want 0", got)
 	}
 	// Compare the architectural outputs; SimSeconds (wall clock) and the
 	// Spec's pointer fields legitimately differ between servers.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hier"
 	"repro/internal/spec"
 )
 
@@ -121,6 +122,10 @@ func TestSpecOfRejectsBadRequests(t *testing.T) {
 		{Workload: "milc", Policy: "slip", L2Bytes: 3},
 		{Workload: "milc", Policy: "baseline", L3Bytes: 1_000_000},
 		{Workload: "milc", Policy: "baseline", L2Bytes: 512},
+		// Core counts past the address map: core 15's region would overlap
+		// the page profiles, and 100000 cores would exhaust memory.
+		{Workload: "milc", Policy: "baseline", Cores: hier.MaxCores + 1},
+		{Workload: "milc", Policy: "baseline", Cores: 100_000},
 	}
 	for i, c := range cases {
 		r := RunRequest{Spec: c}

@@ -230,11 +230,6 @@ type Job struct {
 	// progress counts accesses already driven.
 	Total    uint64
 	progress atomic.Uint64
-
-	// sharded records whether the worker scheduled this job onto the
-	// intra-run sharded executor (shard count > 1); it feeds the
-	// slip_shard_runs_total metric on completion.
-	sharded bool
 }
 
 // JobView is the GET /v1/runs/{id} body (also returned by POST).
