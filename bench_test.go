@@ -46,6 +46,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicyThroughput is BenchmarkSimulatorThroughput for every
+// registered policy, one sub-benchmark each: the baseline, NuRAPID and
+// LRU-PEA insert/promote paths exercise replacement and demotion state
+// that the SLIP+ABP benchmark never reaches.
+func BenchmarkPolicyThroughput(b *testing.B) {
+	spec, _ := workloads.ByName("soplex")
+	for _, p := range hier.AllPolicies() {
+		b.Run(p.String(), func(b *testing.B) {
+			sys := hier.New(hier.Config{Policy: p, Seed: 1})
+			src := spec.Build(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, ok := src.Next()
+				if !ok {
+					src = spec.Build(1)
+					a, _ = src.Next()
+				}
+				sys.Access(0, a)
+			}
+		})
+	}
+}
+
 // BenchmarkBatchedThroughput is BenchmarkSimulatorThroughput through the
 // batched delivery path hier.System.Run uses: accesses arrive in
 // NextBatch-sized chunks instead of one Next call each.

@@ -1,56 +1,48 @@
 package cache
 
-import "repro/internal/mem"
+import (
+	"unsafe"
 
-// Clone returns a deep copy of the level: sets, packed tag/valid arrays,
-// replacement state, movement queue and statistics are all duplicated so the
-// copy can be driven independently (and concurrently) of the original. The
-// immutable pieces — Config, energy params and the reuse-distance estimator,
-// none of which mutate after New — are shared. This is the primitive behind
-// warm-state snapshots: capture a level once after warmup, then hand each
-// measured run its own copy.
+	"repro/internal/mem"
+)
+
+// Clone returns a deep copy of the level: the line, tag, valid and demoted
+// arrays, replacement state, movement queue and statistics are all
+// duplicated so the copy can be driven independently (and concurrently) of
+// the original. The immutable pieces — Config, energy params and the
+// reuse-distance estimator, none of which mutate after New — are shared.
+// This is the primitive behind warm-state snapshots: capture a level once
+// after warmup, then hand each measured run its own copy.
 func (l *Level) Clone() *Level {
-	c := &Level{
-		cfg:     l.cfg,
-		name:    l.name,
-		numSets: l.numSets,
-		ways:    l.ways,
-		repl:    l.repl.Clone(),
-		mq:      l.mq.Clone(),
-		est:     l.est,
-		T:       l.T,
-		Stats:   l.Stats,
-	}
-	c.sets = make([][]Line, len(l.sets))
-	lines := make([]Line, l.numSets*l.ways)
-	for i := range l.sets {
-		row := lines[i*l.ways : (i+1)*l.ways : (i+1)*l.ways]
-		copy(row, l.sets[i])
-		c.sets[i] = row
-	}
+	c := *l
+	c.repl = l.repl.Clone()
+	c.mq = l.mq.Clone()
+	c.lines = append([]Line(nil), l.lines...)
 	c.tags = append([]mem.LineAddr(nil), l.tags...)
 	c.valid = append([]WayMask(nil), l.valid...)
+	c.demoted = append([]WayMask(nil), l.demoted...)
 	c.Stats.HitsPerSublevel = append([]uint64(nil), l.Stats.HitsPerSublevel...)
-	return c
+	return &c
 }
 
-// SizeBytes estimates the retained footprint of a cloned level, charged by
-// byte-budgeted snapshot caches.
+// SizeBytes is the retained footprint of a cloned level, charged by
+// byte-budgeted snapshot caches: everything Clone allocates — the level,
+// its line, tag and per-set mask arrays, the replacement state and the
+// movement-queue bank.
 func (l *Level) SizeBytes() int {
-	per := 48 // Line struct + tag + stamp/rrpv amortized
-	return l.numSets*l.ways*per + len(l.valid)*8
+	perLine := unsafe.Sizeof(Line{}) + unsafe.Sizeof(mem.LineAddr(0))
+	perSet := 2 * unsafe.Sizeof(WayMask(0)) // valid, demoted
+	return int(unsafe.Sizeof(*l)) +
+		l.numSets*(l.ways*int(perLine)+int(perSet)) +
+		len(l.Stats.HitsPerSublevel)*8 +
+		l.repl.sizeBytes() + l.mq.sizeBytes()
 }
 
 // Clone implements Repl.
 func (l *lru) Clone() Repl {
-	c := &lru{clock: l.clock}
-	c.stamp = make([][]uint64, len(l.stamp))
-	flat := make([]uint64, 0, len(l.stamp)*len(l.stamp[0]))
-	for i, row := range l.stamp {
-		flat = append(flat, row...)
-		c.stamp[i] = flat[i*len(row) : (i+1)*len(row) : (i+1)*len(row)]
-	}
-	return c
+	c := *l
+	c.order = append([]uint64(nil), l.order...)
+	return &c
 }
 
 // Clone implements Repl.
@@ -80,4 +72,14 @@ func (b *MQBank) Clone() *MQBank {
 		c.lanes[g] = q.Clone()
 	}
 	return c
+}
+
+// sizeBytes bounds what Clone allocates for the bank: every lane with a
+// full queue.
+func (b *MQBank) sizeBytes() int {
+	n := int(unsafe.Sizeof(*b))
+	for _, q := range b.lanes {
+		n += int(unsafe.Sizeof(*q)) + q.capacity*8
+	}
+	return n
 }

@@ -21,18 +21,16 @@ type Meta struct {
 	Sampling bool
 }
 
-// Line is one cache line's state.
+// Line is one cache line's state. Fields are ordered widest first so the
+// struct packs into 24 bytes.
 type Line struct {
-	Valid bool
-	Addr  mem.LineAddr
-	Dirty bool
-	Meta  Meta
+	Addr mem.LineAddr
 	// Reuses counts hits since insertion into this level (for the Figure 1
 	// reuse-number breakdown).
 	Reuses uint32
-	// Demoted marks lines that have been moved to a farther sublevel;
-	// LRU-PEA preferentially evicts such lines.
-	Demoted bool
+	Meta   Meta
+	Valid  bool
+	Dirty  bool
 }
 
 // NumGroups is the number of line-address groups every per-group structure
@@ -135,20 +133,25 @@ func (s *Stats) Merge(o *Stats) {
 type Level struct {
 	cfg     Config
 	name    string
-	sets    [][]Line
 	numSets int
 	ways    int
 	repl    Repl
 	mq      *MQBank
 	est     *core.RDEstimator
-	// tags is the packed tag array: tags[set*ways+way] mirrors
-	// sets[set][way].Addr. Lookups scan this contiguous row instead of the
-	// much larger Line structs, so a 16-way probe touches two cache lines
-	// instead of eight.
+	// lines holds every line of the level, set by set: the line at (set,
+	// way) is lines[set*ways+way].
+	lines []Line
+	// tags is the packed tag array: tags[i] mirrors lines[i].Addr. Lookups
+	// scan this contiguous row instead of the much larger Line structs, so
+	// a 16-way probe touches two cache lines instead of six.
 	tags []mem.LineAddr
 	// valid mirrors per-line Valid bits as one mask per set, letting lookup
 	// and victim selection skip invalid ways with bit arithmetic.
 	valid []WayMask
+	// demoted marks, per set, the valid lines that were moved to a farther
+	// sublevel; LRU-PEA and NuRAPID evict such lines first. It is the only
+	// copy of the demotion bit and always a subset of valid.
+	demoted []WayMask
 	// T holds one access counter per line-address group, driving the
 	// Section 4.1 timestamps group-locally. A group's counter advances only
 	// on that group's traffic, so it is identical whether the group ran in
@@ -179,12 +182,10 @@ func New(cfg Config) *Level {
 		numSets: numSets,
 		ways:    ways,
 	}
-	l.sets = make([][]Line, numSets)
-	for i := range l.sets {
-		l.sets[i] = make([]Line, ways)
-	}
+	l.lines = make([]Line, numSets*ways)
 	l.tags = make([]mem.LineAddr, numSets*ways)
 	l.valid = make([]WayMask, numSets)
+	l.demoted = make([]WayMask, numSets)
 	if cfg.UseRRIP {
 		l.repl = NewRRIP(numSets, ways, 2)
 	} else {
@@ -260,7 +261,10 @@ func (l *Level) ChunkMask(first, last int) WayMask {
 }
 
 // LineAt returns a copy of the line at (set, way).
-func (l *Level) LineAt(set, way int) Line { return l.sets[set][way] }
+func (l *Level) LineAt(set, way int) Line { return l.lines[set*l.ways+way] }
+
+// Demoted reports whether the line at (set, way) is valid and was demoted.
+func (l *Level) Demoted(set, way int) bool { return l.demoted[set].Has(way) }
 
 // chargeMeta adds the per-line metadata access energy when enabled.
 func (l *Level) chargeMeta() {
@@ -305,7 +309,7 @@ func (l *Level) Access(a mem.LineAddr, store bool) AccessResult {
 	l.Stats.Accesses.Inc()
 	l.chargeMQ(g)
 	if w := l.findWay(set, a); w >= 0 {
-		ln := &l.sets[set][w]
+		ln := &l.lines[set*l.ways+w]
 		l.Stats.Hits.Inc()
 		sub := l.cfg.Params.WaySublevel(w)
 		l.Stats.HitsPerSublevel[sub]++
@@ -361,36 +365,33 @@ func (l *Level) VictimIn(set int, mask WayMask) int {
 	return l.repl.Victim(set, mask)
 }
 
-// VictimPrefer picks a victim within mask like VictimIn, but when any valid
-// line in the mask satisfies pred, the replacement choice is restricted to
-// those lines — the mechanism behind LRU-PEA's preferential eviction of
+// VictimPrefer picks a victim within mask like VictimIn, but when any line
+// in the mask is demoted, the replacement choice is restricted to the
+// demoted lines — the mechanism behind LRU-PEA's preferential eviction of
 // demoted lines.
-func (l *Level) VictimPrefer(set int, mask WayMask, pred func(Line) bool) int {
+func (l *Level) VictimPrefer(set int, mask WayMask) int {
 	if mask == 0 {
 		panic("cache: VictimPrefer with empty mask")
 	}
 	if free := mask &^ l.valid[set]; free != 0 {
 		return bits.TrailingZeros32(uint32(free))
 	}
-	var preferred WayMask
-	for v := uint32(mask); v != 0; v &= v - 1 {
-		w := bits.TrailingZeros32(v)
-		if pred(l.sets[set][w]) {
-			preferred |= 1 << w
-		}
-	}
-	if preferred != 0 {
+	if preferred := mask & l.demoted[set]; preferred != 0 {
 		return l.repl.Victim(set, preferred)
 	}
 	return l.repl.Victim(set, mask)
 }
 
-// MarkDemoted sets the demotion flag on the line at (set, way).
+// MarkDemoted sets or clears the demotion flag of the line at (set, way).
 func (l *Level) MarkDemoted(set, way int, demoted bool) {
-	if !l.sets[set][way].Valid {
+	if !l.valid[set].Has(way) {
 		panic("cache: marking an invalid line")
 	}
-	l.sets[set][way].Demoted = demoted
+	if demoted {
+		l.demoted[set] |= 1 << way
+	} else {
+		l.demoted[set] &^= 1 << way
+	}
 }
 
 // Fill installs line a at (set, way), returning the displaced line (whose
@@ -398,12 +399,13 @@ func (l *Level) MarkDemoted(set, way int, demoted bool) {
 // movement energy (insertions count as movement in Figure 11); the caller
 // handles the displaced line per its own policy.
 func (l *Level) Fill(set, way int, a mem.LineAddr, dirty bool, meta Meta) (evicted Line) {
-	ln := &l.sets[set][way]
+	ln := &l.lines[set*l.ways+way]
 	evicted = *ln
 	meta.TL = l.est.Stamp(l.T[GroupOf(set)])
 	*ln = Line{Valid: true, Addr: a, Dirty: dirty, Meta: meta}
 	l.tags[set*l.ways+way] = a
 	l.valid[set] |= 1 << way
+	l.demoted[set] &^= 1 << way
 	l.Stats.Fills.Inc()
 	l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[way])
 	l.chargeMeta()
@@ -416,7 +418,7 @@ func (l *Level) Fill(set, way int, a mem.LineAddr, dirty bool, meta Meta) (evict
 // line at the destination is returned for the caller to handle. It reports
 // whether the queue stalled.
 func (l *Level) Move(set, from, to int) (displaced Line, stalled bool) {
-	src := &l.sets[set][from]
+	src := &l.lines[set*l.ways+from]
 	if !src.Valid {
 		panic("cache: moving an invalid line")
 	}
@@ -425,11 +427,13 @@ func (l *Level) Move(set, from, to int) (displaced Line, stalled bool) {
 	}
 	moved := *src
 	src.Valid = false
-	dst := &l.sets[set][to]
+	dst := &l.lines[set*l.ways+to]
 	displaced = *dst
 	*dst = moved
 	l.tags[set*l.ways+to] = moved.Addr
 	l.valid[set] = l.valid[set]&^(1<<from) | 1<<to
+	dem := l.demoted[set]
+	l.demoted[set] = dem&^(1<<from|1<<to) | (dem>>from&1)<<to
 	l.Stats.Movements.Inc()
 	l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[from] + l.cfg.Params.WayAccessPJ[to])
 	l.chargeMeta()
@@ -448,13 +452,16 @@ func (l *Level) Swap(set, w1, w2 int) (stalled bool) {
 	if w1 == w2 {
 		panic("cache: swapping a way with itself")
 	}
-	a, b := &l.sets[set][w1], &l.sets[set][w2]
+	i1, i2 := set*l.ways+w1, set*l.ways+w2
+	a, b := &l.lines[i1], &l.lines[i2]
 	if !a.Valid || !b.Valid {
 		panic("cache: swapping an invalid line")
 	}
 	*a, *b = *b, *a
-	i1, i2 := set*l.ways+w1, set*l.ways+w2
 	l.tags[i1], l.tags[i2] = l.tags[i2], l.tags[i1]
+	if d := l.demoted[set]; d.Has(w1) != d.Has(w2) {
+		l.demoted[set] = d ^ (1<<w1 | 1<<w2)
+	}
 	l.Stats.Movements.Add(2)
 	l.Stats.MovementPJ.AddPJ(2 * (l.cfg.Params.WayAccessPJ[w1] + l.cfg.Params.WayAccessPJ[w2]))
 	l.chargeMeta()
@@ -490,7 +497,7 @@ func (l *Level) NoteBypass() { l.Stats.Bypasses.Inc() }
 func (l *Level) WritebackTo(a mem.LineAddr) bool {
 	set := l.SetOf(a)
 	if w := l.findWay(set, a); w >= 0 {
-		l.sets[set][w].Dirty = true
+		l.lines[set*l.ways+w].Dirty = true
 		l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[w])
 		l.chargeMeta()
 		return true
@@ -508,30 +515,33 @@ func (l *Level) Invalidate(a mem.LineAddr) (Line, bool) {
 		l.Stats.MetadataPJ.AddPJ(l.mq.Lookup(g, l.T[g]))
 	}
 	if w := l.findWay(set, a); w >= 0 {
-		ln := &l.sets[set][w]
+		ln := &l.lines[set*l.ways+w]
 		out := *ln
 		ln.Valid = false
 		l.valid[set] &^= 1 << w
+		l.demoted[set] &^= 1 << w
 		return out, true
 	}
 	return Line{}, false
 }
 
 // AdoptGroup grafts line-address group g — every set ≡ g (mod NumGroups):
-// lines, tags, valid masks, the group's access counter, replacement state
-// and movement-queue lane — from src, which must share this level's
-// geometry. Because all of that state is touched only by group-g traffic,
-// adopting each group from the shard that owned it reconstructs exactly
-// the level a sequential replay would have produced. Stats are global, not
-// per-group, and are merged separately (Stats.Merge).
+// lines, tags, valid and demoted masks, the group's access counter,
+// replacement order and movement-queue lane — from src, which must share
+// this level's geometry. Because all of that state is touched only by
+// group-g traffic, adopting each group from the shard that owned it
+// reconstructs exactly the level a sequential replay would have produced.
+// Stats are global, not per-group, and are merged separately (Stats.Merge).
 func (l *Level) AdoptGroup(src *Level, g int) {
 	if l.numSets != src.numSets || l.ways != src.ways {
 		panic("cache: AdoptGroup across mismatched geometries")
 	}
 	for set := g; set < l.numSets; set += NumGroups {
-		copy(l.sets[set], src.sets[set])
-		copy(l.tags[set*l.ways:(set+1)*l.ways], src.tags[set*l.ways:(set+1)*l.ways])
+		row := set * l.ways
+		copy(l.lines[row:row+l.ways], src.lines[row:row+l.ways])
+		copy(l.tags[row:row+l.ways], src.tags[row:row+l.ways])
 		l.valid[set] = src.valid[set]
+		l.demoted[set] = src.demoted[set]
 	}
 	l.T[g] = src.T[g]
 	l.repl.Adopt(src.repl, g)
@@ -541,11 +551,9 @@ func (l *Level) AdoptGroup(src *Level, g int) {
 // ForEachLine visits every valid line (for end-of-run statistics such as
 // Figure 1's resident-line reuse counts).
 func (l *Level) ForEachLine(f func(set, way int, ln Line)) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].Valid {
-				f(s, w, l.sets[s][w])
-			}
+	for i, ln := range l.lines {
+		if ln.Valid {
+			f(i/l.ways, i%l.ways, ln)
 		}
 	}
 }

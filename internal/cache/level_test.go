@@ -392,3 +392,48 @@ func TestRRIPLevelConstruction(t *testing.T) {
 		t.Error("UseRRIP ignored")
 	}
 }
+
+// TestDemotedFollowsLine pins the per-set demoted mask to the line that
+// carries it: a move takes the bit along, a swap exchanges it, and a fill
+// or invalidation over the way clears it.
+func TestDemotedFollowsLine(t *testing.T) {
+	l := testLevel(true)
+	set := 0
+	addr := func(w int) mem.LineAddr { return mem.LineAddr(w * l.NumSets()) }
+	for w := 0; w < 4; w++ {
+		l.Fill(set, w, addr(w), false, Meta{})
+	}
+	want := func(step string, demoted ...int) {
+		t.Helper()
+		var m WayMask
+		for _, w := range demoted {
+			m |= 1 << w
+		}
+		for w := 0; w < l.NumWays(); w++ {
+			if l.Demoted(set, w) != m.Has(w) {
+				t.Fatalf("%s: Demoted(%d) = %v, want demoted ways %v", step, w, l.Demoted(set, w), demoted)
+			}
+		}
+	}
+	l.MarkDemoted(set, 1, true)
+	want("mark", 1)
+	l.Move(set, 1, 8) // into an empty way
+	want("move", 8)
+	l.Move(set, 0, 8) // over the demoted line: the mover is not demoted
+	want("move over")
+	l.MarkDemoted(set, 2, true)
+	l.Swap(set, 2, 3)
+	want("swap", 3)
+	l.Swap(set, 8, 3)
+	want("swap back", 8)
+	l.Fill(set, 8, addr(9), false, Meta{})
+	want("fill")
+	l.MarkDemoted(set, 3, true) // way 3 now holds line 0
+	if _, ok := l.Invalidate(addr(0)); !ok {
+		t.Fatal("line 0 not resident")
+	}
+	want("invalidate")
+	if v := l.VictimPrefer(set, RangeMask(2, 3)); v != 3 {
+		t.Errorf("VictimPrefer over an invalidated way = %d, want the free way 3", v)
+	}
+}

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Repl chooses victims within a set, restricted to a way mask — the form of
@@ -22,78 +23,101 @@ type Repl interface {
 	// Clone returns an independent deep copy of the policy state, used when
 	// snapshotting a level for warm-state reuse.
 	Clone() Repl
-	// Adopt grafts line-address group g — the per-set rows of every set
-	// ≡ g (mod NumGroups) plus any per-group clocks — from src, which must
-	// be the same policy type over the same geometry. It is the merge
-	// primitive of the intra-run sharded executor.
+	// Adopt grafts line-address group g — the per-set state of every set
+	// ≡ g (mod NumGroups) — from src, which must be the same policy type
+	// over the same geometry. It is the merge primitive of the intra-run
+	// sharded executor.
 	Adopt(src Repl, g int)
+	// sizeBytes is the retained footprint of the policy state, charged by
+	// Level.SizeBytes.
+	sizeBytes() int
 }
 
-// lru is the true-LRU policy the paper evaluates with: a per-line clock
-// stamp; the victim is the least recently touched way in the mask. The
-// clock is kept per line-address group: Victim only ever compares stamps
-// within one set, and one set's stamps all come from its own group's
-// monotone clock, so victim choices are identical to a single global
-// clock — while group-disjoint access streams touch disjoint state.
+// lru is the true-LRU policy the paper evaluates with. Each set's recency
+// order is one packed word: sixteen 4-bit way indices, the least recent in
+// the low nibble and the most recent in the high one. A touch moves the
+// way's nibble to the top; Victim takes the lowest nibble whose way is in
+// the mask. Levels with fewer than 16 ways park the unused indices
+// (ways..15) in the low nibbles, where no touch ever disturbs them and
+// Victim skips them by shifting them out.
+//
+// The order starts in way-index order, so ways never touched are victimized
+// lowest-first, and touched ways are ordered by their last touch: exactly
+// the choices of a per-line timestamp LRU whose untouched lines tie at
+// stamp 0.
 type lru struct {
-	stamp [][]uint64
-	clock [NumGroups]uint64
+	order []uint64
+	// skip is 4 x the number of parked indices below the real ways.
+	skip uint
+	ways int
 }
 
-// NewLRU builds true-LRU state for sets x ways lines.
+// nibbleOnes has a 1 in every nibble; w*nibbleOnes repeats w sixteen times.
+const nibbleOnes = 0x1111111111111111
+
+// NewLRU builds true-LRU state for sets x ways lines. The packed order
+// holds at most 16 ways.
 func NewLRU(sets, ways int) Repl {
-	s := make([][]uint64, sets)
-	for i := range s {
-		s[i] = make([]uint64, ways)
+	if ways < 1 || ways > 16 {
+		panic(fmt.Sprintf("cache: LRU way count %d out of range [1, 16]", ways))
 	}
-	return &lru{stamp: s}
+	// From the identity order, touching ways 0..ways-1 in turn leaves the
+	// parked indices at the bottom and the real ways above them in index
+	// order.
+	init := uint64(0xfedcba9876543210)
+	for w := 0; w < ways; w++ {
+		init = toTop(init, w)
+	}
+	order := make([]uint64, sets)
+	for i := range order {
+		order[i] = init
+	}
+	return &lru{order: order, skip: uint(4 * (16 - ways)), ways: ways}
 }
 
 // Name implements Repl.
 func (l *lru) Name() string { return "lru" }
 
-// OnHit implements Repl.
-func (l *lru) OnHit(set, way int) {
-	g := GroupOf(set)
-	l.clock[g]++
-	l.stamp[set][way] = l.clock[g]
+// toTop moves way's nibble to the most-recent end of order o. The way's
+// position is found with a SWAR zero-nibble search: x has a zero nibble
+// exactly where way sits, and the lowest flagged nibble of the classic
+// (x - ones) &^ x & highs test is always a true zero (only nibbles above a
+// zero can be false positives, through the borrow).
+func toTop(o uint64, way int) uint64 {
+	x := o ^ uint64(way)*nibbleOnes
+	shift := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3))) &^ 3
+	below := o & (1<<shift - 1)
+	above := o >> (shift + 4) // a shift of 64 yields 0
+	return below | above<<shift | uint64(way)<<60
 }
 
+// OnHit implements Repl.
+func (l *lru) OnHit(set, way int) { l.order[set] = toTop(l.order[set], way) }
+
 // OnFill implements Repl.
-func (l *lru) OnFill(set, way int) {
-	g := GroupOf(set)
-	l.clock[g]++
-	l.stamp[set][way] = l.clock[g]
-}
+func (l *lru) OnFill(set, way int) { l.order[set] = toTop(l.order[set], way) }
 
 // Adopt implements Repl.
 func (l *lru) Adopt(src Repl, g int) {
 	o := src.(*lru)
-	for set := g; set < len(l.stamp); set += NumGroups {
-		copy(l.stamp[set], o.stamp[set])
+	for set := g; set < len(l.order); set += NumGroups {
+		l.order[set] = o.order[set]
 	}
-	l.clock[g] = o.clock[g]
 }
 
-// Victim implements Repl.
+// Victim implements Repl: the least recent way inside mask.
 func (l *lru) Victim(set int, mask WayMask) int {
-	best, bestStamp := -1, ^uint64(0)
-	// Ascending bit iteration picks the lowest eligible way on stamp ties,
-	// so untouched masks victimize deterministically. Walking set bits
-	// directly keeps this allocation-free and skips unmasked ways entirely
-	// on the per-miss hot path.
-	row := l.stamp[set]
-	for v := uint32(mask); v != 0; v &= v - 1 {
-		w := bits.TrailingZeros32(v)
-		if s := row[w]; best == -1 || s < bestStamp {
-			best, bestStamp = w, s
+	o := l.order[set] >> l.skip
+	for i := 0; i < l.ways; i++ {
+		if w := int(o & 15); mask.Has(w) {
+			return w
 		}
+		o >>= 4
 	}
-	if best < 0 {
-		panic("cache: Victim called with empty mask")
-	}
-	return best
+	panic(fmt.Sprintf("cache: Victim called with mask %v holding no way of %d", mask, l.ways))
 }
+
+func (l *lru) sizeBytes() int { return len(l.order) * int(unsafe.Sizeof(l.order[0])) }
 
 // rrip is the SRRIP policy of Jaleel et al., adapted to masked victim
 // selection as Section 7 describes: re-reference prediction values (RRPV)
@@ -131,6 +155,10 @@ func (r *rrip) Adopt(src Repl, g int) {
 	for set := g; set < len(r.rrpv); set += NumGroups {
 		copy(r.rrpv[set], o.rrpv[set])
 	}
+}
+
+func (r *rrip) sizeBytes() int {
+	return len(r.rrpv) * (int(unsafe.Sizeof(r.rrpv[0])) + len(r.rrpv[0]))
 }
 
 // OnHit implements Repl: hit promotion to RRPV 0.

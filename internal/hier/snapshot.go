@@ -43,7 +43,8 @@ func (s *System) Restore(sn *Snapshot) { *s = *sn.frozen.clone() }
 
 // SizeBytes estimates the retained footprint of the snapshot, charged by
 // byte-budgeted snapshot caches. Cache arrays and the MMU page table
-// dominate; the estimate is deliberately on the generous side.
+// dominate; each is sized from its layout, so the estimate covers what
+// Snapshot allocates and overshoots it by a few percent.
 func (sn *Snapshot) SizeBytes() int { return sn.size }
 
 // Config returns the configuration of the snapshotted system.

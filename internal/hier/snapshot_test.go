@@ -24,7 +24,7 @@ func stateDigest(s *System) string {
 			l.MQ().Lookups(), l.MQ().Stalls())
 		l.ForEachLine(func(set, way int, ln cache.Line) {
 			fmt.Fprintf(&b, "  %d.%d %x d=%v m=%v r=%d dem=%v\n",
-				set, way, uint64(ln.Addr), ln.Dirty, ln.Meta, ln.Reuses, ln.Demoted)
+				set, way, uint64(ln.Addr), ln.Dirty, ln.Meta, ln.Reuses, l.Demoted(set, way))
 		})
 	}
 	for c := range s.cores {

@@ -1,6 +1,10 @@
 package mmu
 
-import "repro/internal/mem"
+import (
+	"unsafe"
+
+	"repro/internal/mem"
+)
 
 // Clone returns a deep copy of the MMU: the page table, the TLB arrays and
 // the RNG cursor are all duplicated so the copy evolves independently. PTE
@@ -17,31 +21,38 @@ func (m *MMU) Clone() *MMU {
 	}
 	rng := *m.rng
 	c.rng = &rng
-	remap := make(map[*PTE]*PTE, len(m.pages))
 	c.pages = make(map[mem.PageID]*PTE, len(m.pages))
 	flat := make([]PTE, 0, len(m.pages))
 	for p, pte := range m.pages {
 		flat = append(flat, *pte)
-		np := &flat[len(flat)-1]
-		remap[pte] = np
-		c.pages[p] = np
+		c.pages[p] = &flat[len(flat)-1]
 	}
 	c.tlbPages = append(make([]mem.PageID, 0, cap(m.tlbPages)), m.tlbPages...)
 	c.tlbStamps = append(make([]uint64, 0, cap(m.tlbStamps)), m.tlbStamps...)
 	c.tlbPTEs = make([]*PTE, len(m.tlbPTEs), cap(m.tlbPTEs))
-	for i, pte := range m.tlbPTEs {
-		np, ok := remap[pte]
-		if !ok {
-			panic("mmu: TLB entry points at a PTE missing from the page table")
+	for i, p := range m.tlbPages {
+		if m.pages[p] != m.tlbPTEs[i] {
+			panic("mmu: TLB entry points at a PTE that is not its page's table entry")
 		}
-		c.tlbPTEs[i] = np
+		c.tlbPTEs[i] = c.pages[p]
 	}
 	return c
 }
 
-// SizeBytes estimates the retained footprint of a cloned MMU for
-// byte-budgeted snapshot caches: the page table dominates.
+// SizeBytes is the retained footprint of a cloned MMU, charged by
+// byte-budgeted snapshot caches: the page table — one PTE plus one map
+// slot per page — and the TLB arrays.
 func (m *MMU) SizeBytes() int {
-	const ptePacked = 40 // PTE struct + map entry overhead
-	return len(m.pages)*ptePacked + m.cfg.TLBEntries*24
+	pte := unsafe.Sizeof(PTE{})
+	// A Go map keeps its slots at most 7/8 full, in power-of-two tables.
+	// A slot is the key, the value, a control byte and about one more
+	// byte of table headers and allocation rounding.
+	slot := unsafe.Sizeof(mem.PageID(0)) + unsafe.Sizeof((*PTE)(nil)) + 2
+	slots := 8
+	for slots*7 < len(m.pages)*8 {
+		slots *= 2
+	}
+	tlb := unsafe.Sizeof(mem.PageID(0)) + unsafe.Sizeof((*PTE)(nil)) + unsafe.Sizeof(uint64(0))
+	return int(unsafe.Sizeof(*m)+unsafe.Sizeof(*m.rng)+tlb*uintptr(m.cfg.TLBEntries)) +
+		len(m.pages)*int(pte) + slots*int(slot)
 }

@@ -32,9 +32,11 @@ type Driver interface {
 	// Clone returns an independent deep copy of the driver's mutable state
 	// (RNG cursors, class counters), used when snapshotting a hierarchy.
 	Clone() Driver
-	// Adopt grafts line-address group g's state — per-set stamps, per-group
-	// clocks, RNG cursors, reuse windows — from src, a driver of the same
-	// type and geometry that simulated group g's accesses. It is the policy
+	// Adopt grafts line-address group g's driver state — LWRP's recency
+	// stamps and group clock, LRU-PEA's RNG cursor, reuse-bypass's reuse
+	// window — from src, a driver of the same type and geometry that
+	// simulated group g's accesses. The level's own replacement order and
+	// demotion bits travel with cache.Level.AdoptGroup. It is the policy
 	// half of the intra-run sharded merge: because every driver keys its
 	// mutable state by set (hence group) or by group directly, adopting
 	// each group from the shard that owned it reconstructs exactly the
@@ -144,10 +146,10 @@ func (*NuRAPID) Adopt(Driver, int) {}
 // leaves the level. An empty mask evicts the victim directly.
 func insertWithDemotion(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.Meta, first int, demoteTo cache.WayMask) Outcome {
 	set := l.SetOf(a)
-	way := l.VictimPrefer(set, l.SublevelMask(first), func(ln cache.Line) bool { return ln.Demoted })
+	way := l.VictimPrefer(set, l.SublevelMask(first))
 	var out Outcome
 	if l.LineAt(set, way).Valid && demoteTo != 0 && !demoteTo.Has(way) {
-		dest := l.VictimPrefer(set, demoteTo, func(ln cache.Line) bool { return ln.Demoted })
+		dest := l.VictimPrefer(set, demoteTo)
 		displaced, _ := l.Move(set, way, dest)
 		l.MarkDemoted(set, dest, true)
 		if displaced.Valid {
@@ -192,7 +194,7 @@ func (p *LRUPEA) OnHit(l *cache.Level, set, way int) {
 		return
 	}
 	nearer := l.SublevelMask(sub - 1)
-	victim := l.VictimPrefer(set, nearer, func(ln cache.Line) bool { return ln.Demoted })
+	victim := l.VictimPrefer(set, nearer)
 	if !l.LineAt(set, victim).Valid {
 		l.Move(set, way, victim)
 		return

@@ -238,7 +238,7 @@ func TestNuRAPIDInsertsNearAndPromotes(t *testing.T) {
 	if !hit || l.Params().WaySublevel(w) != 1 {
 		t.Fatalf("line 0 at way %d, want demoted to sublevel 1", w)
 	}
-	if !l.LineAt(l.SetOf(addrInSet(0)), w).Demoted {
+	if !l.Demoted(l.SetOf(addrInSet(0)), w) {
 		t.Error("demoted line not marked")
 	}
 	// A hit must promote it back to sublevel 0 via swap.
@@ -344,7 +344,7 @@ func TestLRUPEAPrefersEvictingDemoted(t *testing.T) {
 		l.Fill(set, w, addrInSet(w), false, cache.Meta{})
 	}
 	l.MarkDemoted(set, 2, true)
-	v := l.VictimPrefer(set, cache.RangeMask(0, 3), func(ln cache.Line) bool { return ln.Demoted })
+	v := l.VictimPrefer(set, cache.RangeMask(0, 3))
 	if v != 2 {
 		t.Errorf("victim = %d, want demoted way 2", v)
 	}
